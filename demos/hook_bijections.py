@@ -51,7 +51,7 @@ print("row-by-row build-up: ", th.perm_incremental(small, 4))
 # every weight nonnegative; coverings take the rest.
 
 lam = (2, 2, 1)
-valid = set(rh.valid_srht_perms(lam))
+valid = {perm for perm, _ in th.delta_choices(lam)}
 print(f"\nshape {lam}: {len(valid)} of {len(list(core.permutations_of(3)))} "
       f"permutations give a tableau")
 for perm in core.permutations_of(3):

@@ -55,7 +55,7 @@ def _cost_estimate(n: int, nsym: bool) -> str:
     if nsym:
         return (
             f"~{4 ** (n - 1)} entry enumerations over {2 ** (n - 1)} composition "
-            f"labels (cost grows roughly 4x per degree)"
+            f"labels (cost grows roughly 9x per degree)"
         )
     return f"~{len(partitions_of(n)) ** 2} entry enumerations over partition labels"
 
@@ -74,12 +74,27 @@ def _check_cap(n: int, cap: int, nsym: bool) -> None:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err.strerror}") from None
     return json.loads(text)
 
 
-def _dump(value) -> str:
-    return json.dumps(sz.to_obj(value), sort_keys=True, separators=(",", ":"))
+def _parse_as(data, cls: type):
+    value = sz.parse_object(data)
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__} object")
+    return value
+
+
+def _map(fn, tasks: list[tuple], workers: int) -> list:
+    """``fn(*task)`` for every task, in order; in a process pool when
+    ``workers`` > 1."""
+    if workers > 1:
+        with Pool(workers) as pool:
+            return pool.starmap(fn, tasks)
+    return [fn(*task) for task in tasks]
 
 
 # -- matrix -------------------------------------------------------------------
@@ -91,34 +106,11 @@ def cmd_matrix(args) -> int:
     if args.format == "csv":
         print(sz.matrix_to_csv(matrix))
     else:
-        print(_dump(matrix))
+        print(sz.dumps(matrix))
     return 0
 
 
 # -- verify -------------------------------------------------------------------
-
-
-def _nsym_k_row(task):
-    n, alpha = task
-    return tuple(len(enumerate_immaculate(alpha, beta)) for beta in compositions_of(n))
-
-
-def _involution_cell(task):
-    map_name, left, right = task
-    kind = inv._MAPS[map_name][0]
-    report = inv.InvolutionReport(kind=kind, map_name=map_name, degree=0)
-    inv._verify_cell(report, kind, map_name, left, right)
-    return report.violations, report.pairs_checked, report.fixed_points, report.max_walk
-
-
-def _build_nsym_k(n: int, workers: int) -> mx.TransitionMatrix:
-    labels = tuple(compositions_of(n))
-    if workers > 1:
-        with Pool(workers) as pool:
-            rows = pool.map(_nsym_k_row, [(n, alpha) for alpha in labels])
-    else:
-        rows = [_nsym_k_row((n, alpha)) for alpha in labels]
-    return mx.TransitionMatrix(n, "compositions", labels, tuple(rows))
 
 
 def _first_bad_entry(product: mx.TransitionMatrix):
@@ -139,7 +131,9 @@ def _verify_identity(identity: str, n: int, workers: int) -> dict | None:
         if identity in ("kkinv", "kinvk"):
             k, kinv = mx.sym_K(m), mx.sym_Kinv(m)
         else:
-            k = _build_nsym_k(m, workers)
+            labels = tuple(compositions_of(m))
+            rows = _map(mx.nsym_K_row, [(alpha,) for alpha in labels], workers)
+            k = mx.TransitionMatrix(m, "compositions", labels, tuple(rows))
             kinv = mx.nsym_Kinv(m)
         product = mx.mat_mul(k, kinv) if identity in ("kkinv", "nk-nkinv") else mx.mat_mul(kinv, k)
         bad = _first_bad_entry(product)
@@ -151,28 +145,17 @@ def _verify_identity(identity: str, n: int, workers: int) -> dict | None:
 
 def _verify_involutions(n: int, workers: int) -> dict | None:
     for map_name in ("phi", "chi", "psi", "rho"):
-        kind = inv._MAPS[map_name][0]
-        tasks = []
-        for m in range(1, n + 1):
-            indices = compositions_of(m) if kind in ("A", "C") else partitions_of(m)
-            tasks.extend(
-                (map_name, left, right) for left in indices for right in indices
-            )
-        if workers > 1:
-            with Pool(workers) as pool:
-                results = pool.map(_involution_cell, tasks)
-        else:
-            results = [_involution_cell(t) for t in tasks]
-        pairs = sum(r[1] for r in results)
-        fixed = sum(r[2] for r in results)
-        walk = max((r[3] for r in results), default=0)
-        stats = f"map={map_name} pairs={pairs} fixed={fixed}"
+        cells = inv.index_cells(map_name, n)
+        reports = _map(inv.verify_cell, [(map_name, cell) for cell in cells], workers)
+        total = inv.InvolutionReport(kind=reports[0].kind, map_name=map_name, degree=n)
+        for (left, right), report in zip(cells, reports):
+            if report.violations:
+                return {"map": map_name, "indices": [list(left), list(right)],
+                        "violation": report.violations[0]}
+            total.absorb(report)
+        stats = f"map={map_name} pairs={total.pairs_checked} fixed={total.fixed_points}"
         if map_name == "rho":
-            stats += f" longest-walk={walk}"
-        for (violations, _, _, _), task in zip(results, tasks):
-            if violations:
-                return {"map": map_name, "indices": [list(task[1]), list(task[2])],
-                        "violation": violations[0]}
+            stats += f" longest-walk={total.max_walk}"
         print(f"PASS {stats}")
     return None
 
@@ -199,71 +182,49 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 def cmd_enumerate(args) -> int:
     if args.what == "compositions":
-        for alpha in compositions_of(args.n):
-            print(_dump(alpha))
+        objects = compositions_of(args.n)
     elif args.what == "partitions":
-        for lam in partitions_of(args.n):
-            print(_dump(lam))
+        objects = partitions_of(args.n)
     elif args.what == "immaculate":
-        for rows in enumerate_immaculate(_parse_parts(args.shape), _parse_parts(args.content)):
-            print(_dump(rows))
+        objects = enumerate_immaculate(_parse_parts(args.shape), _parse_parts(args.content))
     elif args.what == "ssyt":
-        for rows in enumerate_ssyt(_parse_parts(args.shape), _parse_parts(args.content)):
-            print(_dump(rows))
+        objects = enumerate_ssyt(_parse_parts(args.shape), _parse_parts(args.content))
     elif args.what == "thc":
-        for covering, _ in enumerate_thc(_parse_parts(args.content), _parse_parts(args.shape)):
-            print(_dump(covering))
-    elif args.what == "srht":
-        for tableau in enumerate_srht(_parse_parts(args.shape)):
-            print(_dump(tableau))
+        coverings = enumerate_thc(_parse_parts(args.content), _parse_parts(args.shape))
+        objects = [covering for covering, _ in coverings]
+    else:
+        objects = enumerate_srht(_parse_parts(args.shape))
+    for value in objects:
+        print(sz.dumps(value))
     return 0
 
 
 # -- involution ---------------------------------------------------------------
 
 
-_ALG_FAMILIES = {
-    "phi": ("A",),
-    "chi": ("B",),
-    "psi": ("C", "D", "E"),
-    "theta": ("C", "D", "E"),
-    "rho": ("D",),
+# alg -> (map, the pair families it acts on)
+_ALGS = {
+    "phi": (inv.phi, ("A",)),
+    "chi": (inv.chi, ("B",)),
+    "psi": (inv.psi, ("C", "D", "E")),
+    "theta": (inv.theta, ("C", "D", "E")),
+    "rho": (inv.rho, ("D",)),
 }
 
 
 def cmd_involution(args) -> int:
-    pair = sz.parse_object(_read_json(args.input))
-    if not isinstance(pair, inv.Pair):
-        print("input must be a pair object", file=sys.stderr)
-        return 2
-    if pair.kind not in _ALG_FAMILIES[args.alg]:
-        print(
-            f"{args.alg} acts on {'/'.join(_ALG_FAMILIES[args.alg])} pairs, "
-            f"got setKind {pair.kind}",
-            file=sys.stderr,
-        )
-        return 2
-    trace = None
-    try:
-        inv.validate_pair(pair)
-        if args.alg == "rho":
-            result, trace = inv.rho(pair)
-        else:
-            result = {
-                "phi": inv.phi,
-                "chi": inv.chi,
-                "psi": inv.psi,
-                "theta": inv.theta,
-            }[args.alg](pair)
-    except ValueError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return 2
+    pair = _parse_as(_read_json(args.input), inv.Pair)
+    apply, families = _ALGS[args.alg]
+    if pair.kind not in families:
+        raise ValueError(f"{args.alg} acts on {'/'.join(families)} pairs, got setKind {pair.kind}")
+    inv.validate_pair(pair)
+    result, trace = apply(pair) if args.alg == "rho" else (apply(pair), None)
     if args.format == "ascii":
         print(rd.render_trace(trace) if (args.trace and trace) else rd.render_pair(result))
     else:
-        print(_dump(result))
+        print(sz.dumps(result))
         if args.trace and trace is not None:
-            print(_dump(trace))
+            print(sz.dumps(trace))
     return 0
 
 
@@ -271,42 +232,31 @@ def cmd_involution(args) -> int:
 
 
 def _loose_shape_perm(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if not isinstance(data, dict) or "shape" not in data or "perm" not in data:
+    if not isinstance(data, dict) or not all(
+        isinstance(data.get(key), list) for key in ("shape", "perm")
+    ):
         raise ValueError('expected {"shape": [...], "perm": [...]}')
-    return tuple(data["shape"]), tuple(data["perm"])
+    return sz.parse_object(data["shape"]), sz.parse_object(data["perm"])
+
+
+# direction -> (parsed input type, or None for a {"shape", "perm"} object; map)
+_BIJECTIONS = {
+    "thc-to-perm": (TunnelHookCovering, perm_of_thc),
+    "perm-to-thc": (None, thc_from_perm),
+    "srht-to-perm": (SpecialRimHookTableau, perm_srt),
+    "perm-to-srht": (None, srht_from_perm),
+    "srht-to-thc": (SpecialRimHookTableau, srht_to_thc),
+    "thc-to-srht": (TunnelHookCovering, thc_to_srht),
+}
 
 
 def cmd_bijection(args) -> int:
     data = _read_json(args.input)
-    try:
-        if args.direction == "thc-to-perm":
-            covering = sz.parse_object(data)
-            assert isinstance(covering, TunnelHookCovering)
-            print(_dump(perm_of_thc(covering)))
-        elif args.direction == "perm-to-thc":
-            shape, perm = _loose_shape_perm(data)
-            print(_dump(thc_from_perm(shape, perm)))
-        elif args.direction == "srht-to-perm":
-            tableau = sz.parse_object(data)
-            assert isinstance(tableau, SpecialRimHookTableau)
-            print(_dump(perm_srt(tableau)))
-        elif args.direction == "perm-to-srht":
-            shape, perm = _loose_shape_perm(data)
-            print(_dump(srht_from_perm(shape, perm)))
-        elif args.direction == "srht-to-thc":
-            tableau = sz.parse_object(data)
-            assert isinstance(tableau, SpecialRimHookTableau)
-            print(_dump(srht_to_thc(tableau)))
-        elif args.direction == "thc-to-srht":
-            covering = sz.parse_object(data)
-            assert isinstance(covering, TunnelHookCovering)
-            print(_dump(thc_to_srht(covering)))
-    except NoPreimageError as err:
-        print(f"no preimage: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, AssertionError) as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return 2
+    source, apply = _BIJECTIONS[args.direction]
+    if source is None:
+        print(sz.dumps(apply(*_loose_shape_perm(data))))
+    else:
+        print(sz.dumps(apply(_parse_as(data, source))))
     return 0
 
 
@@ -318,8 +268,9 @@ def cmd_validate(args) -> int:
     from .rimhooks import validate_srht
     from .tableaux import is_immaculate, is_ssyt
 
+    data = _read_json(args.input)
     try:
-        value = sz.parse_object(_read_json(args.input))
+        value = sz.parse_object(data)
         verdict: dict = {"valid": True}
         if isinstance(value, TunnelHookCovering):
             value.hooks()  # replays the construction, checking every weight
@@ -333,7 +284,7 @@ def cmd_validate(args) -> int:
                 {"kind": "pair", "setKind": value.kind,
                  "left": list(left), "right": list(right)}
             )
-        elif isinstance(value, tuple):
+        elif isinstance(value, tuple) and all(isinstance(row, tuple) for row in value):
             if not is_immaculate(value):
                 raise ValueError("rows are not an immaculate filling")
             verdict.update({"kind": "tableau", "ssyt": is_ssyt(value)})
@@ -350,13 +301,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = _read_json(args.input)
-    try:
-        value = sz.parse_object(data)
-        print(rd.render_object(value, args.format))
-    except ValueError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return 2
+    print(rd.render_object(sz.parse_object(_read_json(args.input)), args.format))
     return 0
 
 
@@ -407,25 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("involution", help="apply one of the pair maps")
     inv_sub = p_inv.add_subparsers(dest="action", required=True)
     p_run = inv_sub.add_parser("run")
-    p_run.add_argument("--alg", choices=["phi", "chi", "psi", "theta", "rho"], required=True)
+    p_run.add_argument("--alg", choices=list(_ALGS), required=True)
     p_run.add_argument("--input", required=True, help="pair JSON path, or - for stdin")
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--format", choices=["json", "ascii"], default="json")
     p_run.set_defaults(func=cmd_involution)
 
     p_bij = sub.add_parser("bijection", help="apply a permutation/covering/rim-hook bijection")
-    p_bij.add_argument(
-        "--direction",
-        choices=[
-            "thc-to-perm",
-            "perm-to-thc",
-            "srht-to-perm",
-            "perm-to-srht",
-            "srht-to-thc",
-            "thc-to-srht",
-        ],
-        required=True,
-    )
+    p_bij.add_argument("--direction", choices=list(_BIJECTIONS), required=True)
     p_bij.add_argument("--input", required=True)
     p_bij.set_defaults(func=cmd_bijection)
 
@@ -442,8 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The input boundary: a ValueError escaping a command
+    means its outside input was malformed, and exits 2 with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NoPreimageError as err:
+        print(f"no preimage: {err}", file=sys.stderr)
+    except ValueError as err:
+        print(f"invalid input: {err}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

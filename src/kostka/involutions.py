@@ -26,7 +26,7 @@ selection helpers are exposed separately so tests can pin the choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -382,15 +382,19 @@ class InvolutionReport:
     pairs_checked: int = 0
     fixed_points: int = 0
     max_walk: int = 0
-    violations: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.violations is None:
-            self.violations = []
+    violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def absorb(self, other: InvolutionReport) -> None:
+        """Add the counts and violations of another report of the same map."""
+        self.index_pairs += other.index_pairs
+        self.pairs_checked += other.pairs_checked
+        self.fixed_points += other.fixed_points
+        self.max_walk = max(self.max_walk, other.max_walk)
+        self.violations.extend(other.violations)
 
 
 _MAPS: dict[str, tuple[str, Callable[[Pair], Pair]]] = {
@@ -401,74 +405,82 @@ _MAPS: dict[str, tuple[str, Callable[[Pair], Pair]]] = {
 }
 
 
-def _apply(map_name: str, pair: Pair) -> Pair:
-    if map_name == "rho":
-        return rho(pair)[0]
-    return _MAPS[map_name][1](pair)
-
-
-def verify_involution(map_name: str, n: int, degrees_up_to: bool = True) -> InvolutionReport:
-    """Exhaustively check one map over every index pair at degree <= n.
-
-    Checks: the map is an involution, reverses the covering's sign off its
-    fixed points, fixes exactly the diagonal pairs (which carry sign +1 and
-    are unique), and that the signed pair count is the Kronecker delta.
-    """
+def _family(map_name: str) -> str:
     if map_name not in _MAPS:
         raise ValueError(f"unknown map {map_name!r}")
-    kind = _MAPS[map_name][0]
-    report = InvolutionReport(kind=kind, map_name=map_name, degree=n)
-    degrees = range(1, n + 1) if degrees_up_to else [n]
-    for degree in degrees:
+    return _MAPS[map_name][0]
+
+
+def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
+    """Every (left, right) index pair of the map's family at degree <= n,
+    degree by degree, each in label order."""
+    kind = _family(map_name)
+    cells: list[tuple[IntSeq, IntSeq]] = []
+    for degree in range(1, n + 1):
         if kind in ("A", "C"):
             indices = compositions_of(degree)
         else:
             indices = partitions_of(degree)
-        for left in indices:
-            for right in indices:
-                _verify_cell(report, kind, map_name, left, right)
-                if report.violations:
-                    return report
-    return report
+        cells.extend((left, right) for left in indices for right in indices)
+    return cells
 
 
-def _verify_cell(
-    report: InvolutionReport, kind: str, map_name: str, left: IntSeq, right: IntSeq
-) -> None:
+def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
+    """Exhaustively check one map on the pair set of one index pair.
+
+    Checks: the map is an involution, reverses the covering's sign off its
+    fixed points, fixes exactly the diagonal pairs (which carry sign +1 and
+    are unique), and that the signed pair count is the Kronecker delta.
+    The report holds at most one violation: checking stops at the first.
+    """
+    kind = _family(map_name)
+    apply = _MAPS[map_name][1]
+    left, right = cell
+    report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left), index_pairs=1)
     pairs = enumerate_pairs(kind, left, right)
-    report.index_pairs += 1
     signed = 0
     complain = report.violations.append
     for pair in pairs:
         report.pairs_checked += 1
         signed += pair.thc.sign()
         if map_name == "rho":
-            image, trace = rho(pair)
+            image, trace = apply(pair)
             report.max_walk = max(report.max_walk, len(trace.maps))
-            back, _ = rho(image)
+            back, _ = apply(image)
         else:
-            image = _apply(map_name, pair)
-            back = _apply(map_name, image)
+            image = apply(pair)
+            back = apply(image)
         if back != pair:
             complain(f"{map_name} is not an involution at {left},{right}: {pair}")
-            return
+            return report
         if image == pair:
             report.fixed_points += 1
             if left != right:
                 complain(f"off-diagonal fixed point at {left},{right}: {pair}")
-                return
+                return report
             if pair.thc.sign() != 1:
                 complain(f"fixed point of negative sign at {left}: {pair}")
-                return
+                return report
         elif image.thc.sign() != -pair.thc.sign():
             complain(f"{map_name} failed to reverse sign at {left},{right}: {pair}")
-            return
+            return report
     expected = 1 if left == right else 0
     if signed != expected:
         complain(f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}")
-        return
-    if left == right and len(pairs) != 1:
+    elif left == right and len(pairs) != 1:
         complain(f"diagonal set {kind}[{left},{left}] has {len(pairs)} pairs, want 1")
+    return report
+
+
+def verify_involution(map_name: str, n: int) -> InvolutionReport:
+    """:func:`verify_cell` over every index pair at degree <= n, stopping at
+    the first cell with a violation."""
+    report = InvolutionReport(kind=_family(map_name), map_name=map_name, degree=n)
+    for cell in index_cells(map_name, n):
+        report.absorb(verify_cell(map_name, cell))
+        if report.violations:
+            break
+    return report
 
 
 def clear_caches() -> None:

@@ -13,10 +13,10 @@ representation is not worth its complexity here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
-from .rimhooks import enumerate_srht, gamma, srht_sign
+from .rimhooks import enumerate_srht, srht_content, srht_sign
 from .tableaux import enumerate_immaculate, enumerate_ssyt
 from .tunnelhooks import delta_choices
 
@@ -60,27 +60,43 @@ def identity_matrix(degree: int, index_kind: str) -> TransitionMatrix:
     return TransitionMatrix(degree, index_kind, labels, entries)
 
 
+def _signed_counts(
+    n: int, index_kind: str, terms: Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]
+) -> TransitionMatrix:
+    """Entry (row, col): the sum of the signs of the terms of col whose
+    label is row; ``terms(col)`` yields (sign, row label) pairs."""
+    labels = _labels(n, index_kind)
+    index = {label: i for i, label in enumerate(labels)}
+    entries = [[0] * len(labels) for _ in labels]
+    for j, col in enumerate(labels):
+        for sign, row in terms(col):
+            entries[index[row]][j] += sign
+    return TransitionMatrix(n, index_kind, labels, tuple(map(tuple, entries)))
+
+
+def nsym_K_row(alpha: IntSeq) -> tuple[int, ...]:
+    """Row alpha of :func:`nsym_K`: the number of immaculate tableaux of
+    shape alpha for every content of its degree, in label order."""
+    return tuple(
+        len(enumerate_immaculate(alpha, beta)) for beta in compositions_of(sum(alpha))
+    )
+
+
 def nsym_K(n: int) -> TransitionMatrix:
     """Entry (alpha, beta): number of immaculate tableaux of shape alpha and
     content beta."""
     labels = _labels(n, "compositions")
-    entries = tuple(
-        tuple(len(enumerate_immaculate(alpha, beta)) for beta in labels)
-        for alpha in labels
-    )
-    return TransitionMatrix(n, "compositions", labels, entries)
+    return TransitionMatrix(n, "compositions", labels, tuple(map(nsym_K_row, labels)))
 
 
 def nsym_Kinv(n: int) -> TransitionMatrix:
     """Entry (alpha, beta): signed count of hook coverings of shape beta with
     content alpha."""
-    labels = _labels(n, "compositions")
-    index = {label: i for i, label in enumerate(labels)}
-    entries = [[0] * len(labels) for _ in labels]
-    for j, beta in enumerate(labels):
-        for perm, delta in delta_choices(beta):
-            entries[index[flatten(delta)]][j] += perm_sign(perm)
-    return TransitionMatrix(n, "compositions", labels, tuple(map(tuple, entries)))
+    return _signed_counts(
+        n,
+        "compositions",
+        lambda beta: ((perm_sign(perm), flatten(delta)) for perm, delta in delta_choices(beta)),
+    )
 
 
 def sym_K(n: int) -> TransitionMatrix:
@@ -95,26 +111,17 @@ def sym_K(n: int) -> TransitionMatrix:
 def sym_Kinv(n: int) -> TransitionMatrix:
     """Entry (lam, mu): signed count of hook coverings of partition shape mu
     whose content rearranges to lam (summing over all content orderings)."""
-    labels = _labels(n, "partitions")
-    index = {label: i for i, label in enumerate(labels)}
-    entries = [[0] * len(labels) for _ in labels]
-    for j, mu in enumerate(labels):
-        for perm, delta in delta_choices(mu):
-            entries[index[dec(flatten(delta))]][j] += perm_sign(perm)
-    return TransitionMatrix(n, "partitions", labels, tuple(map(tuple, entries)))
+    return _signed_counts(n, "partitions", jacobi_trudi_terms)
 
 
 def sym_Kinv_from_rim_hooks(n: int) -> TransitionMatrix:
     """Entry (lam, mu): signed count of special rim hook tableaux of shape mu
     and content lam; must agree with :func:`sym_Kinv` entrywise."""
-    labels = _labels(n, "partitions")
-    index = {label: i for i, label in enumerate(labels)}
-    entries = [[0] * len(labels) for _ in labels]
-    for j, mu in enumerate(labels):
-        for tableau in enumerate_srht(mu):
-            lam = dec(flatten(gamma(tableau)))
-            entries[index[lam]][j] += srht_sign(tableau)
-    return TransitionMatrix(n, "partitions", labels, tuple(map(tuple, entries)))
+    return _signed_counts(
+        n,
+        "partitions",
+        lambda mu: ((srht_sign(t), srht_content(t)) for t in enumerate_srht(mu)),
+    )
 
 
 def mat_mul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:

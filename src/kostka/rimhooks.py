@@ -16,7 +16,6 @@ weight-preserving bijection onto the coverings with nonnegative weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -27,9 +26,8 @@ from .core import (
     flatten,
     is_partition,
     is_perm,
-    perm_sign,
 )
-from .tunnelhooks import TunnelHookCovering
+from .tunnelhooks import TunnelHookCovering, delta_choices
 
 Cell = tuple[int, int]
 HookPath = tuple[Cell, ...]
@@ -200,37 +198,14 @@ def srht_from_perm(shape: Sequence[int], perm: Sequence[int]) -> SpecialRimHookT
     return SpecialRimHookTableau(shape, tuple(hooks))
 
 
-@lru_cache(maxsize=None)
-def valid_srht_perms(shape: IntSeq) -> tuple[Perm, ...]:
-    """Permutations with shape_i - i + sigma_i >= 0 everywhere, in lex order."""
-    ell = len(shape)
-    out: list[Perm] = []
-    used = [False] * (ell + 1)
-    sigma: list[int] = []
-
-    def dfs(r: int) -> None:
-        if r > ell:
-            out.append(tuple(sigma))
-            return
-        for v in range(max(1, r - shape[r - 1]), ell + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            sigma.append(v)
-            dfs(r + 1)
-            sigma.pop()
-            used[v] = False
-
-    dfs(1)
-    return tuple(out)
-
-
 def enumerate_srht(shape: Sequence[int]) -> list[SpecialRimHookTableau]:
-    """All special rim hook tableaux of the given partition shape."""
+    """All special rim hook tableaux of the given partition shape, one per
+    permutation with shape_i - i + sigma_i >= 0: the permutations of the
+    coverings with nonnegative weights, from :func:`delta_choices`."""
     shape = tuple(shape)
     if not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
-    return [srht_from_perm(shape, perm) for perm in valid_srht_perms(shape)]
+    return [srht_from_perm(shape, perm) for perm, _ in delta_choices(shape)]
 
 
 def srht_to_thc(tableau: SpecialRimHookTableau) -> TunnelHookCovering:
@@ -257,7 +232,3 @@ def is_srht_and_thc(tableau: SpecialRimHookTableau) -> bool:
         path[0][1] == shape[path[0][0] - 1] and path[-1][1] == 1
         for path in tableau.hooks
     )
-
-
-def clear_caches() -> None:
-    valid_srht_perms.cache_clear()

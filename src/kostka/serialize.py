@@ -83,16 +83,32 @@ def matrix_to_csv(matrix: TransitionMatrix) -> str:
     return "\n".join(lines)
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _ints(value: Any, what: str) -> tuple[int, ...]:
+    if not all(type(x) is int for x in _list(value, what)):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
 def parse_object(data: Any):
-    """Typed object from a parsed JSON value; dispatches on the kind tag."""
+    """Typed object from a parsed JSON value; dispatches on the kind tag.
+
+    Raises ValueError for an unknown kind and for a missing or wrong-typed
+    field.
+    """
     if isinstance(data, list):
-        return tuple(int(x) for x in data)  # bare composition or permutation
+        return _ints(data, "a bare sequence")  # composition or permutation
     if not isinstance(data, dict):
         raise ValueError(f"cannot parse {data!r}")
     if "setKind" in data:
         kind = data["setKind"]
-        left = parse_object(data["left"])
-        right = parse_object(data["right"])
+        left = parse_object(data.get("left"))
+        right = parse_object(data.get("right"))
         if kind in ("A", "B"):
             tableau, covering = left, right
         elif kind in ("C", "D", "E"):
@@ -101,29 +117,42 @@ def parse_object(data: Any):
             raise ValueError(f"unknown pair family {kind!r}")
         if not isinstance(covering, TunnelHookCovering):
             raise ValueError("pair is missing its covering side")
+        if not (isinstance(tableau, tuple) and all(isinstance(r, tuple) for r in tableau)):
+            raise ValueError("pair is missing its tableau side")
         return Pair(kind, covering, tableau)
     kind = data.get("kind")
     if kind == "thc":
-        return TunnelHookCovering(tuple(data["shape"]), tuple(data["perm"]))
+        shape, perm = _ints(data.get("shape"), "shape"), _ints(data.get("perm"), "perm")
+        return TunnelHookCovering(shape, perm)
     if kind == "tableau":
-        rows = tuple(tuple(int(v) for v in row) for row in data["rows"])
-        if "shape" in data and tuple(data["shape"]) != shape_of(rows):
+        rows = tuple(_ints(row, "a tableau row") for row in _list(data.get("rows"), "rows"))
+        if "shape" in data and _ints(data["shape"], "shape") != shape_of(rows):
             raise ValueError("tableau shape field disagrees with its rows")
         return rows
     if kind == "srht":
         hooks = tuple(
-            tuple((int(r), int(c)) for r, c in path) for path in data["hooks"]
+            tuple(_ints(cell, "a hook cell") for cell in _list(path, "a hook path"))
+            for path in _list(data.get("hooks"), "hooks")
         )
-        return SpecialRimHookTableau(tuple(data["shape"]), hooks)
+        if any(len(cell) != 2 for path in hooks for cell in path):
+            raise ValueError("a hook cell must be [row, column]")
+        return SpecialRimHookTableau(_ints(data.get("shape"), "shape"), hooks)
     if kind == "trace":
-        pairs = tuple(parse_object(p) for p in data["pairs"])
-        return Trace(pairs, tuple(data["maps"]))
+        pairs = tuple(parse_object(p) for p in _list(data.get("pairs"), "pairs"))
+        maps = tuple(_list(data.get("maps"), "maps"))
+        if not all(isinstance(p, Pair) for p in pairs) or not all(type(m) is str for m in maps):
+            raise ValueError("a trace holds pair objects and map names")
+        return Trace(pairs, maps)
     if kind == "matrix":
+        if type(data.get("degree")) is not int:
+            raise ValueError("degree must be an integer")
+        if data.get("indexKind") not in ("compositions", "partitions"):
+            raise ValueError("indexKind must be 'compositions' or 'partitions'")
         return TransitionMatrix(
-            int(data["degree"]),
+            data["degree"],
             data["indexKind"],
-            tuple(tuple(label) for label in data["labels"]),
-            tuple(tuple(int(x) for x in row) for row in data["entries"]),
+            tuple(_ints(label, "a label") for label in _list(data.get("labels"), "labels")),
+            tuple(_ints(row, "a matrix row") for row in _list(data.get("entries"), "entries")),
         )
     raise ValueError(f"unknown object kind {kind!r}")
 

@@ -302,8 +302,9 @@ def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
     """All (perm, delta) pairs of the shape with componentwise delta >= 0.
 
     Backtracks with the bound perm_r >= r - shape_r instead of filtering all
-    of S_l; the survivors are exactly the coverings that carry a content.
-    Ordered lexicographically by permutation.
+    of S_l; the survivors are exactly the coverings that carry a content,
+    and, for a partition shape, the permutations of its special rim hook
+    tableaux.  Ordered lexicographically by permutation.
     """
     ell = len(shape)
     out: list[tuple[Perm, IntSeq]] = []
@@ -331,11 +332,11 @@ def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
 def enumerate_thc(
     content: Sequence[int], shape: Sequence[int]
 ) -> list[tuple[TunnelHookCovering, int]]:
-    """All coverings of the given shape whose content is exactly ``content``.
+    """All coverings of the given shape whose content is exactly ``content``,
+    with their signs, ordered lexicographically by permutation.
 
-    Coverings whose weight sequence has a negative entry carry no content
-    and are skipped.  Backtracking forces the nonzero weights to match the
-    target content in order, which prunes hard.
+    Coverings whose weight sequence has a negative entry carry no content;
+    :func:`delta_choices` never yields them.
     """
     content = tuple(content)
     shape = tuple(shape)
@@ -343,34 +344,11 @@ def enumerate_thc(
         raise ValueError("content and shape must be compositions")
     if sum(content) != sum(shape):
         raise ValueError("content and shape have different totals")
-    ell = len(shape)
-    out: list[TunnelHookCovering] = []
-    used = [False] * (ell + 1)
-    sigma: list[int] = []
-
-    def dfs(r: int, k: int) -> None:
-        if r > ell:
-            if k == len(content):
-                out.append(TunnelHookCovering(shape, tuple(sigma)))
-            return
-        for v in range(max(1, r - shape[r - 1]), ell + 1):
-            if used[v]:
-                continue
-            d = shape[r - 1] + v - r
-            if d == 0:
-                k2 = k
-            elif k < len(content) and content[k] == d:
-                k2 = k + 1
-            else:
-                continue
-            used[v] = True
-            sigma.append(v)
-            dfs(r + 1, k2)
-            sigma.pop()
-            used[v] = False
-
-    dfs(1, 0)
-    return [(t, t.sign()) for t in out]
+    return [
+        (TunnelHookCovering(shape, perm), perm_sign(perm))
+        for perm, delta in delta_choices(shape)
+        if flatten(delta) == content
+    ]
 
 
 def perm_cycles_thc(covering: TunnelHookCovering) -> list[tuple[int, ...]]:

@@ -241,3 +241,78 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["matrix", "--n", "2", "--kind", "bogus"])
     assert exc.value.code == 2
+
+
+_THC = {"kind": "thc", "shape": [2, 1], "perm": [1, 2]}
+_SRHT = {"kind": "srht", "shape": [2, 1], "hooks": [[[1, 2], [1, 1]], [[2, 1]]]}
+_BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "perm": [1]},
+                      "right": [1, 2]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code",
+    [
+        (["involution", "run", "--alg", "phi", "--input", "missing.json"], None, 2),
+        (["involution", "run", "--alg", "psi", "--input", "in.json"], "{not json", 2),
+        (["enumerate", "immaculate", "--shape", "2,x", "--content", "1,1"], None, 2),
+        (["enumerate", "compositions", "--n", "0"], None, 2),
+        (["enumerate", "thc", "--content", "0,2", "--shape", "2"], None, 2),
+        (["render", "--input", "in.json"], {"kind": "thc", "shape": [2, 1]}, 2),
+        (["involution", "run", "--alg", "psi", "--input", "in.json"], _BARE_TABLEAU_PAIR, 2),
+        (["bijection", "--direction", "thc-to-perm", "--input", "in.json"], _SRHT, 2),
+        (["bijection", "--direction", "srht-to-thc", "--input", "in.json"], _THC, 2),
+        (["bijection", "--direction", "perm-to-thc", "--input", "in.json"],
+         {"shape": ["a"], "perm": [1]}, 2),
+        (["validate", "--input", "in.json"], {"kind": "thc", "shape": [2, 1]}, 1),
+        (["validate", "--input", "in.json"], {**_THC, "shape": "ab"}, 1),
+        (["validate", "--input", "in.json"], _BARE_TABLEAU_PAIR, 1),
+        (["validate", "--input", "in.json"], {"kind": "matrix", "degree": "2"}, 1),
+        (["validate", "--input", "in.json"], [1, 2], 1),
+    ],
+)
+def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
+    """Malformed input exits 2 with a one-line message (1 with a JSON verdict
+    for validate), never a traceback; run under -O, so asserts are gone."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if payload is not None:
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / "in.json").write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kostka.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("invalid input: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["valid"] is False
+
+
+@pytest.mark.parametrize("identity, n", [("involutions", 4), ("nk-nkinv", 5)])
+def test_verify_workers_byte_identical(capsys, identity, n):
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--n", str(n), "--identity", identity,
+                               "--workers", workers)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_reports_broken_map(capsys, monkeypatch):
+    monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: pair))
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "involutions")
+    assert code == 1
+    record = json.loads(out)
+    assert set(record) == {"map", "indices", "violation"}
+    left, right = record["indices"]
+    assert record["map"] == "phi" and left != right
+    assert record["violation"].startswith("off-diagonal fixed point")

@@ -115,7 +115,7 @@ def test_enumeration_matches_naive_partition_search(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_perm_characterization_and_sign(n):
     for lam in core.partitions_of(n):
-        perms = rh.valid_srht_perms(lam)
+        perms = [perm for perm, _ in th.delta_choices(lam)]
         tableaux = rh.enumerate_srht(lam)
         seen = set()
         for tableau in tableaux:

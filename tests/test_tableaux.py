@@ -187,11 +187,9 @@ def test_bad_cells_characterize_ssyt(n):
 def test_bender_knuth_involution_property(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
     lam = data.draw(st.sampled_from(core.partitions_of(n)))
-    content = data.draw(
-        st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n).filter(
-            lambda c: sum(c) == n
-        )
-    )
+    # the counts of n draws from range(n): every length-n content of total n
+    draws = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    content = [draws.count(i) for i in range(n)]
     options = tableaux.enumerate_ssyt(lam, tuple(content))
     if not options:
         return
