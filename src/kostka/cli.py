@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from . import involutions as inv
 from . import matrices as mx
 from . import render as rd
 from . import serialize as sz
-from .core import NoPreimageError, compositions_of, partitions_of
+from .core import NoPreimageError, compositions_of, is_composition, partitions_of
 from .rimhooks import (
     SpecialRimHookTableau,
     enumerate_srht,
@@ -37,8 +39,9 @@ from .rimhooks import (
     srht_from_perm,
     srht_to_thc,
     thc_to_srht,
+    validate_srht,
 )
-from .tableaux import enumerate_immaculate, enumerate_ssyt
+from .tableaux import enumerate_immaculate, enumerate_ssyt, is_immaculate, is_ssyt
 from .tunnelhooks import TunnelHookCovering, enumerate_thc, perm_of_thc, thc_from_perm
 
 DEFAULT_CAP = 10
@@ -54,10 +57,10 @@ _MATRIX_BUILDERS = {
 def _cost_estimate(n: int, nsym: bool) -> str:
     if nsym:
         return (
-            f"~{4 ** (n - 1)} entry enumerations over {2 ** (n - 1)} composition "
-            f"labels (cost grows roughly 9x per degree)"
+            f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition "
+            f"labels (cost grows roughly 5x per degree)"
         )
-    return f"~{len(partitions_of(n)) ** 2} entry enumerations over partition labels"
+    return f"~{len(partitions_of(n)) ** 2} entry counts over partition labels"
 
 
 def _check_cap(n: int, cap: int, nsym: bool) -> None:
@@ -89,10 +92,11 @@ def _parse_as(data, cls: type):
 
 
 def _map(fn, tasks: list[tuple], workers: int) -> list:
-    """``fn(*task)`` for every task, in order; in a process pool when
-    ``workers`` > 1."""
-    if workers > 1:
-        with Pool(workers) as pool:
+    """``fn(*task)`` for every task, in order; in a process pool when more
+    than one of ``workers``, tasks and CPUs is available."""
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size > 1:
+        with Pool(size) as pool:
             return pool.starmap(fn, tasks)
     return [fn(*task) for task in tasks]
 
@@ -263,33 +267,47 @@ def cmd_bijection(args) -> int:
 # -- validate -----------------------------------------------------------------
 
 
+def _check(value) -> dict | None:
+    """Raise ValueError unless a parsed object keeps its structural
+    invariants; else its verdict fields, or None for a bare sequence (a
+    composition, which may also be read as a permutation)."""
+    if isinstance(value, TunnelHookCovering):
+        value.hooks()  # replays the construction, checking every weight
+        return {"kind": "thc"}
+    if isinstance(value, SpecialRimHookTableau):
+        validate_srht(value)
+        return {"kind": "srht"}
+    if isinstance(value, inv.Pair):
+        left, right = inv.validate_pair(value)
+        return {"kind": "pair", "setKind": value.kind, "left": list(left), "right": list(right)}
+    if isinstance(value, inv.Trace):
+        pairs = value.pairs
+        if not pairs or len(value.maps) != len(pairs) - 1:
+            raise ValueError("a trace holds one or more pairs and one map between each two")
+        for k, pair in enumerate(pairs):
+            if 0 < k < len(pairs) - 1 and pair.kind == "D":
+                pair = replace(pair, kind="E")  # rho walks from D to D through E
+            inv.validate_pair(pair)
+        return {"kind": "trace"}
+    if isinstance(value, tuple) and all(isinstance(row, tuple) for row in value):
+        if not is_immaculate(value):
+            raise ValueError("rows are not an immaculate filling")
+        return {"kind": "tableau", "ssyt": is_ssyt(value)}
+    if isinstance(value, tuple):
+        if not is_composition(value):
+            raise ValueError(f"shape {value} is not a composition")
+        return None
+    raise ValueError("nothing to validate")
+
+
 def cmd_validate(args) -> int:
     """Check an object's structural invariants; JSON verdict on stdout."""
-    from .rimhooks import validate_srht
-    from .tableaux import is_immaculate, is_ssyt
-
     data = _read_json(args.input)
     try:
-        value = sz.parse_object(data)
-        verdict: dict = {"valid": True}
-        if isinstance(value, TunnelHookCovering):
-            value.hooks()  # replays the construction, checking every weight
-            verdict["kind"] = "thc"
-        elif isinstance(value, SpecialRimHookTableau):
-            validate_srht(value)
-            verdict["kind"] = "srht"
-        elif isinstance(value, inv.Pair):
-            left, right = inv.validate_pair(value)
-            verdict.update(
-                {"kind": "pair", "setKind": value.kind,
-                 "left": list(left), "right": list(right)}
-            )
-        elif isinstance(value, tuple) and all(isinstance(row, tuple) for row in value):
-            if not is_immaculate(value):
-                raise ValueError("rows are not an immaculate filling")
-            verdict.update({"kind": "tableau", "ssyt": is_ssyt(value)})
-        else:
+        verdict = _check(sz.parse_object(data))
+        if verdict is None:
             raise ValueError("nothing to validate")
+        verdict["valid"] = True
     except ValueError as err:
         print(json.dumps({"valid": False, "reason": str(err)}, sort_keys=True))
         return 1
@@ -301,7 +319,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    print(rd.render_object(sz.parse_object(_read_json(args.input)), args.format))
+    value = sz.parse_object(_read_json(args.input))
+    _check(value)
+    print(rd.render_object(value, args.format))
     return 0
 
 

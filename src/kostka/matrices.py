@@ -1,4 +1,8 @@
-"""Exact integer transition matrices built from combinatorial enumeration.
+"""Exact integer transition matrices built from combinatorial counts.
+
+The Kostka matrices count tableaux by a transfer DP over content prefixes,
+without building any tableau; the inverses sum the signs of enumerated hook
+coverings or rim hook tableaux.
 
 Rows and columns are labeled by the canonical composition order (the NSym
 pair) or by partitions in reverse-lexicographic order (the Sym pair).  All
@@ -15,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
+from .core import IntSeq, compositions_of, dec, flatten, is_composition, partitions_of, perm_sign
 from .rimhooks import enumerate_srht, srht_content, srht_sign
-from .tableaux import enumerate_immaculate, enumerate_ssyt
 from .tunnelhooks import delta_choices
 
 
@@ -74,12 +77,74 @@ def _signed_counts(
     return TransitionMatrix(n, index_kind, labels, tuple(map(tuple, entries)))
 
 
+def _grow(
+    counts: dict[IntSeq, int], c: int, highs: Callable[[IntSeq], IntSeq]
+) -> dict[IntSeq, int]:
+    """Place c copies of the next value: row i of each state grows from its
+    length to at most ``highs(state)[i]``, by c cells in all."""
+    out: dict[IntSeq, int] = {}
+    for state, count in counts.items():
+        partial = [((), c)]
+        for have, high in zip(state, highs(state)):
+            partial = [
+                (grown + (length,), left - (length - have))
+                for grown, left in partial
+                for length in range(have, min(high, have + left) + 1)
+            ]
+        for grown, left in partial:
+            if left == 0:
+                out[grown] = out.get(grown, 0) + count
+    return out
+
+
+def _count_fillings(
+    shape: IntSeq, contents: Sequence[IntSeq], highs: Callable[[IntSeq], IntSeq]
+) -> tuple[int, ...]:
+    """The number of fillings of ``shape`` with each content.
+
+    The values 1, 2, ... are placed in turn; a state is the tuple of filled
+    row lengths, and ``highs(state)`` bounds the lengths one value can reach
+    from it.  The state counts of a content prefix stay on ``path`` for the
+    contents after it, so in label order (a depth-first walk of the prefix
+    tree) every prefix is grown once.  The last value must complete the
+    shape, so its count is read off the states it can complete.
+    """
+    path = [{(0,) * len(shape): 1}]  # path[k]: state counts after k values
+    placed: IntSeq = ()  # the values path covers
+    out = []
+    for beta in contents:
+        head = beta[:-1]
+        k = 0
+        while k < min(len(placed), len(head)) and placed[k] == head[k]:
+            k += 1
+        del path[k + 1 :]
+        for c in head[k:]:
+            path.append(_grow(path[-1], c, highs))
+        placed = head
+        out.append(sum(
+            count for state, count in path[-1].items()
+            if all(a <= high for a, high in zip(shape, highs(state)))
+        ))
+    return tuple(out)
+
+
 def nsym_K_row(alpha: IntSeq) -> tuple[int, ...]:
     """Row alpha of :func:`nsym_K`: the number of immaculate tableaux of
-    shape alpha for every content of its degree, in label order."""
-    return tuple(
-        len(enumerate_immaculate(alpha, beta)) for beta in compositions_of(sum(alpha))
-    )
+    shape alpha for every content of its degree, in label order.
+
+    Counted by the immaculate Pieri rule (Berg, Bergeron, Saliola, Serrano,
+    Zabrocki, arXiv:1208.5191): a value lengthens the rows already started,
+    up to alpha, and may start only the next row down.
+    """
+    labels = compositions_of(sum(alpha))
+    if not is_composition(alpha):
+        raise ValueError(f"shape {alpha} is not a composition")
+
+    def highs(state: IntSeq) -> IntSeq:
+        started = sum(1 for length in state if length)
+        return tuple(alpha[: started + 1]) + (0,) * (len(alpha) - started - 1)
+
+    return _count_fillings(tuple(alpha), labels, highs)
 
 
 def nsym_K(n: int) -> TransitionMatrix:
@@ -102,10 +167,15 @@ def nsym_Kinv(n: int) -> TransitionMatrix:
 def sym_K(n: int) -> TransitionMatrix:
     """Entry (lam, mu): number of SSYT of shape lam and content mu."""
     labels = _labels(n, "partitions")
-    entries = tuple(
-        tuple(len(enumerate_ssyt(lam, mu)) for mu in labels) for lam in labels
-    )
-    return TransitionMatrix(n, "partitions", labels, entries)
+
+    def row(lam: IntSeq) -> tuple[int, ...]:
+        # a value adds a horizontal strip: row i stays within row i - 1
+        def highs(state: IntSeq) -> IntSeq:
+            return tuple(map(min, lam, (lam[0],) + state[:-1]))
+
+        return _count_fillings(lam, labels, highs)
+
+    return TransitionMatrix(n, "partitions", labels, tuple(map(row, labels)))
 
 
 def sym_Kinv(n: int) -> TransitionMatrix:

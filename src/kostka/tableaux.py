@@ -7,8 +7,9 @@ strictly increasing columns.
 
 Enumeration is row-by-row backtracking in reading order, so results come out
 in lexicographic order by reading word and the output order is stable.  The
-enumerators are cached: the involution test suites hit the same
-(shape, content) cells over and over.
+enumerators are cached: the involution suites hit the same (shape, content)
+cells over and over.  The Kostka matrices do not list tableaux (they count
+them in ``matrices``); the enumerators stay their independent oracle.
 """
 
 from __future__ import annotations

@@ -229,6 +229,15 @@ def test_validate_pair(tmp_path, capsys):
     assert verdict["right"] == [1, 1, 1, 1, 1]
 
 
+def test_validate_rho_trace(capsys):
+    from pathlib import Path
+
+    source = Path(__file__).parent / "data" / "walk_long_trace.json"
+    code, out, _ = run_cli(capsys, "validate", "--input", str(source))
+    assert code == 0
+    assert json.loads(out) == {"kind": "trace", "valid": True}
+
+
 def test_validate_rejects_mismatched_pair(tmp_path, capsys):
     bad = inv.Pair("A", thc_from_perm((2,), (1,)), ((1, 3),))
     source = tmp_path / "pair.json"
@@ -268,6 +277,9 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["validate", "--input", "in.json"], _BARE_TABLEAU_PAIR, 1),
         (["validate", "--input", "in.json"], {"kind": "matrix", "degree": "2"}, 1),
         (["validate", "--input", "in.json"], [1, 2], 1),
+        (["render", "--input", "in.json"], {"kind": "trace", "maps": [], "pairs": []}, 2),
+        (["render", "--input", "in.json"], {**_SRHT, "hooks": [[[5, 5]]]}, 2),
+        (["render", "--input", "in.json"], {"kind": "tableau", "rows": [[]]}, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
@@ -316,3 +328,29 @@ def test_verify_reports_broken_map(capsys, monkeypatch):
     left, right = record["indices"]
     assert record["map"] == "phi" and left != right
     assert record["violation"].startswith("off-diagonal fixed point")
+
+
+@pytest.mark.parametrize("cpus, sizes", [(3, [2, 3]), (None, [])])
+def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
+    """A pool gets no more processes than tasks or CPUs; none is started here."""
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "nk-nkinv",
+                           "--workers", "10000")
+    assert code == 0 and out == "PASS nk-nkinv n<=3\n"
+    assert requested == sizes  # degrees 1, 2, 3 have 1, 2, 4 rows to map

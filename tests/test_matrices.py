@@ -2,8 +2,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from kostka import core, matrices as mx
+from kostka import core, matrices as mx, tableaux
 from oracles import fraction_inverse
 
 
@@ -21,6 +23,45 @@ def test_nsym_kinv_degree_two():
 def test_sym_pair_degree_two():
     assert mx.sym_K(2).entries == ((1, 1), (0, 1))
     assert mx.sym_Kinv(2).entries == ((1, -1), (0, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nsym_k_rows_count_immaculate_tableaux(n):
+    labels = core.compositions_of(n)
+    for alpha in labels:
+        expected = tuple(len(tableaux.enumerate_immaculate(alpha, beta)) for beta in labels)
+        assert mx.nsym_K_row(alpha) == expected, alpha
+    tableaux.clear_caches()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sym_k_counts_ssyt(n):
+    labels = core.partitions_of(n)
+    expected = tuple(
+        tuple(len(tableaux.enumerate_ssyt(lam, mu)) for mu in labels) for lam in labels
+    )
+    assert mx.sym_K(n).entries == expected
+    tableaux.clear_caches()
+
+
+@seed(20251018)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kostka_counts_at_degrees_9_and_10(data):
+    n = data.draw(st.sampled_from([9, 10]))
+    compositions = core.compositions_of(n)
+    alpha, beta = data.draw(st.tuples(st.sampled_from(compositions), st.sampled_from(compositions)))
+    count = mx.nsym_K_row(alpha)[compositions.index(beta)]
+    assert count == len(tableaux.enumerate_immaculate(alpha, beta))
+    partitions = core.partitions_of(n)
+    lam, mu = data.draw(st.tuples(st.sampled_from(partitions), st.sampled_from(partitions)))
+    assert mx.sym_K(n).entry(lam, mu) == len(tableaux.enumerate_ssyt(lam, mu))
+    tableaux.clear_caches()
+
+
+def test_nsym_k_row_rejects_non_composition():
+    with pytest.raises(ValueError):
+        mx.nsym_K_row((2, 0, 1))
 
 
 def test_sym_k_fixtures():
