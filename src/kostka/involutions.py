@@ -27,7 +27,6 @@ selection helpers are exposed separately so tests can pin the choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import (
@@ -122,7 +121,6 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     raise ValueError(f"unknown pair family {pair.kind!r}")
 
 
-@lru_cache(maxsize=None)
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
     """The complete pair set of the given family and index pair."""
     left = tuple(left)
@@ -340,34 +338,34 @@ def pair_indices(pair: Pair) -> tuple[IntSeq, IntSeq]:
     return lam, mu
 
 
-def rho(pair: Pair, max_steps: int | None = None) -> tuple[Pair, Trace]:
+def rho(pair: Pair) -> tuple[Pair, Trace]:
     """Alternate ``psi`` and ``theta`` until ``psi`` lands back in D.
 
-    Fixed exactly when lam = mu.  The default iteration cap is four times
-    the ambient E set; exceeding it can only mean a structural bug, since
-    the alternating walk provably terminates.
+    Fixed exactly when lam = mu.  The walk needs no step bound: by the
+    involution principle an alternating walk started in D never meets a
+    pair twice, and ``psi`` and ``theta`` conserve both contents, so there
+    are finitely many pairs to meet.  A pair met twice can only mean a
+    structural bug and raises RuntimeError.
     """
     lam, mu = pair_indices(pair)
     if lam == mu:
         return pair, Trace((pair,), ())
-    if max_steps is None:
-        max_steps = 4 * len(enumerate_pairs("E", lam, mu))
     pairs = [pair]
     maps: list[str] = []
-    current = pair
+    seen = {pair}
     while True:
-        current = psi(current)
-        pairs.append(current)
-        maps.append("psi")
-        if not bad_cells(current.tableau):
-            return current, Trace(tuple(pairs), tuple(maps))
-        current = theta(current)
-        pairs.append(current)
-        maps.append("theta")
-        if len(maps) > max_steps:
-            raise RuntimeError(
-                f"alternating walk exceeded {max_steps} steps; structural bug"
-            )
+        for name, step in (("psi", psi), ("theta", theta)):
+            current = step(pairs[-1])
+            if current in seen:
+                raise RuntimeError(
+                    f"alternating walk met a pair twice at step {len(maps) + 1}; "
+                    "structural bug"
+                )
+            seen.add(current)
+            pairs.append(current)
+            maps.append(name)
+            if name == "psi" and not bad_cells(current.tableau):
+                return current, Trace(tuple(pairs), tuple(maps))
 
 
 # -- exhaustive verification -------------------------------------------------
@@ -481,7 +479,3 @@ def verify_involution(map_name: str, n: int) -> InvolutionReport:
         if report.violations:
             break
     return report
-
-
-def clear_caches() -> None:
-    enumerate_pairs.cache_clear()

@@ -5,11 +5,12 @@ integers; the first column strictly increases from top to bottom.  A
 semistandard Young tableau (SSYT) additionally has partition shape and
 strictly increasing columns.
 
-Enumeration is row-by-row backtracking in reading order, so results come out
-in lexicographic order by reading word and the output order is stable.  The
-enumerators are cached: the involution suites hit the same (shape, content)
-cells over and over.  The Kostka matrices do not list tableaux (they count
-them in ``matrices``); the enumerators stay their independent oracle.
+One row-by-row backtracker in reading order serves both kinds, so results
+come out in lexicographic order by reading word and the output order is
+stable.  The enumerators are cached: the involution suites hit the same
+(shape, content) cells over and over.  The Kostka matrices do not list
+tableaux (they count them in ``matrices``); the enumerators stay their
+independent oracle.
 """
 
 from __future__ import annotations
@@ -75,41 +76,7 @@ def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tu
     """
     if not is_composition(shape):
         raise ValueError(f"shape {shape} is not a composition")
-    if any(c < 0 for c in content):
-        raise ValueError(f"content {content} has a negative entry")
-    if sum(shape) != sum(content):
-        raise ValueError("shape size and content total differ")
-    m = len(content)
-    counts = list(content)
-    results: list[Rows] = []
-    rows: list[tuple[int, ...]] = []
-
-    def fill_row(i: int, prev_first: int) -> None:
-        if i == len(shape):
-            results.append(tuple(rows))
-            return
-        length = shape[i]
-        row: list[int] = []
-
-        def place(j: int, lo: int) -> None:
-            if j == length:
-                rows.append(tuple(row))
-                fill_row(i + 1, row[0])
-                rows.pop()
-                return
-            for v in range(lo, m + 1):
-                if counts[v - 1] == 0:
-                    continue
-                counts[v - 1] -= 1
-                row.append(v)
-                place(j + 1, v)
-                row.pop()
-                counts[v - 1] += 1
-
-        place(0, prev_first + 1)
-
-    fill_row(0, 0)
-    return tuple(results)
+    return _fill(shape, content, strict=False)
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +84,15 @@ def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Ro
     """All semistandard Young tableaux of the given partition shape and content."""
     if not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
+    return _fill(shape, content, strict=True)
+
+
+def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[Rows, ...]:
+    """The fillings with weakly increasing rows, in reading-word order.
+
+    An entry must exceed the one above it in the first column, and in every
+    column when ``strict``.
+    """
     if any(c < 0 for c in content):
         raise ValueError(f"content {content} has a negative entry")
     if sum(shape) != sum(content):
@@ -131,7 +107,8 @@ def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Ro
             results.append(tuple(rows))
             return
         length = shape[i]
-        above = rows[i - 1] if i > 0 else None
+        above = rows[i - 1] if i > 0 else (0,)  # (0,): entries start at 1
+        checked = length if strict and i > 0 else 0
         row: list[int] = []
 
         def place(j: int, lo: int) -> None:
@@ -140,10 +117,9 @@ def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Ro
                 fill_row(i + 1)
                 rows.pop()
                 return
-            floor = lo
-            if above is not None:
-                floor = max(floor, above[j] + 1)
-            for v in range(floor, m + 1):
+            if j < checked and above[j] >= lo:
+                lo = above[j] + 1
+            for v in range(lo, m + 1):
                 if counts[v - 1] == 0:
                     continue
                 counts[v - 1] -= 1
@@ -152,7 +128,7 @@ def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Ro
                 row.pop()
                 counts[v - 1] += 1
 
-        place(0, 1)
+        place(0, above[0] + 1)
 
     fill_row(0)
     return tuple(results)

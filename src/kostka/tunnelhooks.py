@@ -396,8 +396,3 @@ def perm_incremental(covering: TunnelHookCovering, k: int) -> Perm:
         )
         perm = perm_compose(cycle_to_perm(ds, j), embed(perm, j))
     return perm
-
-
-def clear_caches() -> None:
-    replay_hooks.cache_clear()
-    delta_choices.cache_clear()

@@ -288,6 +288,7 @@ def test_criterion_8_structural_properties():
         for lam, mu in itertools.product(parts, repeat=2):
             for pair in inv.enumerate_pairs("D", lam, mu):
                 _, trace = inv.rho(pair)
+                assert len(set(trace.pairs)) == len(trace.pairs)
                 for step in trace.pairs:
                     assert core.dec(step.thc.content()) == lam
                     m = max(max(row) for row in step.tableau)

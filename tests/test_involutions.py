@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kostka import core, involutions as inv, tableaux
-from kostka.tunnelhooks import thc_from_perm
+from kostka.tunnelhooks import delta_choices, thc_from_perm
 
 # -- the running examples ---------------------------------------------------
 
@@ -242,6 +244,43 @@ def test_rho_divergence_example():
     recorded_other = ((1, 1, 1, 2), (2, 3))
     assert tableaux.is_ssyt(recorded_other)
     assert tableaux.content_vector(recorded_other, 3) == (3, 2, 1)
+
+
+def test_rho_raises_on_a_repeated_pair(monkeypatch):
+    # with theta replaced by psi the walk steps straight back to its input;
+    # the revisit ends it without enumerating any pair set
+    def no_enumeration(*args):
+        raise AssertionError("rho enumerated a pair set")
+
+    monkeypatch.setattr(inv, "theta", inv.psi)
+    monkeypatch.setattr(inv, "enumerate_pairs", no_enumeration)
+    with pytest.raises(RuntimeError, match="met a pair twice"):
+        inv.rho(RHO_STORY)
+
+
+@seed(20251018)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rho_on_random_pairs_at_degrees_9_and_10(data):
+    n = data.draw(st.sampled_from([9, 10]))
+    partitions = core.partitions_of(n)
+    shape = data.draw(st.sampled_from(partitions))
+    content = data.draw(st.sampled_from([c for c in partitions if core.dominates(shape, c)]))
+    rows = data.draw(st.sampled_from(tableaux.enumerate_ssyt(shape, content)))
+    perm, _ = data.draw(st.sampled_from(delta_choices(shape)))
+    pair = inv.Pair("D", thc_from_perm(shape, perm), rows)
+    lam, mu = inv.pair_indices(pair)
+    image, trace = inv.rho(pair)
+    back, _ = inv.rho(image)
+    assert back == pair
+    if image == pair:
+        assert lam == mu and pair.thc.sign() == 1
+    else:
+        assert lam != mu and image.thc.sign() == -pair.thc.sign()
+    assert len(set(trace.pairs)) == len(trace.pairs)
+    for step in trace.pairs:
+        assert inv.pair_indices(step) == (lam, mu)
+    tableaux.clear_caches()
 
 
 def test_rho_fixes_diagonal():
