@@ -1,12 +1,12 @@
 """Exact combinatorics of Kostka matrices and their inverses.
 
 Compositions index the noncommutative side, partitions the symmetric side.
-The package builds the four transition matrices from counts: a transfer DP
-counts the Kostka entries without listing tableaux (the tableau enumerators
-stay its oracle), and the inverses sum the signs of hook coverings or rim
-hook tableaux.  It also exposes the sign-reversing involutions proving the
-inverse identities pairwise, and the permutation bijections connecting
-coverings with special rim hook tableaux.
+The package builds the four transition matrices from counts: one Pieri walk
+per matrix counts the Kostka entries without listing tableaux (the tableau
+enumerators stay its oracle), and the inverses sum the signs of hook
+coverings or rim hook tableaux.  It also exposes the sign-reversing
+involutions proving the inverse identities pairwise, and the permutation
+bijections connecting coverings with special rim hook tableaux.
 """
 
 from .core import (

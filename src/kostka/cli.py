@@ -5,7 +5,8 @@ Subcommands::
 
     kostka matrix     --n N --kind {K,Kinv,NK,NKinv} [--format csv|json]
     kostka verify     --n N --identity {kkinv,kinvk,nk-nkinv,nkinv-nk,involutions}
-                      [--workers W]
+                      [--workers W]  (W processes check the involution suites;
+                      the matrix identities run in one)
     kostka enumerate  {compositions,partitions,immaculate,ssyt,thc,srht} ...
     kostka involution run --alg {phi,chi,psi,theta,rho} --input PAIR.json
                       [--trace] [--format json|ascii]
@@ -129,16 +130,11 @@ def _first_bad_entry(product: mx.TransitionMatrix):
     return None
 
 
-def _verify_identity(identity: str, n: int, workers: int) -> dict | None:
+def _verify_identity(identity: str, n: int) -> dict | None:
     """None on success, else a counterexample record."""
+    sym = identity in ("kkinv", "kinvk")
     for m in range(1, n + 1):
-        if identity in ("kkinv", "kinvk"):
-            k, kinv = mx.sym_K(m), mx.sym_Kinv(m)
-        else:
-            labels = tuple(compositions_of(m))
-            rows = _map(mx.nsym_K_row, [(alpha,) for alpha in labels], workers)
-            k = mx.TransitionMatrix(m, "compositions", labels, tuple(rows))
-            kinv = mx.nsym_Kinv(m)
+        k, kinv = (mx.sym_K(m), mx.sym_Kinv(m)) if sym else (mx.nsym_K(m), mx.nsym_Kinv(m))
         product = mx.mat_mul(k, kinv) if identity in ("kkinv", "nk-nkinv") else mx.mat_mul(kinv, k)
         bad = _first_bad_entry(product)
         if bad is not None:
@@ -169,7 +165,7 @@ def cmd_verify(args) -> int:
     if args.identity == "involutions":
         bad = _verify_involutions(args.n, args.workers)
     else:
-        bad = _verify_identity(args.identity, args.n, args.workers)
+        bad = _verify_identity(args.identity, args.n)
     if bad is None:
         print(f"PASS {args.identity} n<={args.n}")
         return 0
@@ -346,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["kkinv", "kinvk", "nk-nkinv", "nkinv-nk", "involutions"],
         required=True,
     )
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="processes for --identity involutions; matrix identities use one")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_verify.set_defaults(func=cmd_verify)
 

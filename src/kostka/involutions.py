@@ -36,6 +36,7 @@ from .core import (
     delete_fixed_point,
     embed,
     flatten,
+    is_partition,
     partitions_of,
     perm_inverse,
     swap_positions,
@@ -48,6 +49,8 @@ from .tableaux import (
     content_vector,
     enumerate_immaculate,
     enumerate_ssyt,
+    is_immaculate,
+    is_ssyt,
     shape_of,
 )
 from .tunnelhooks import TunnelHookCovering, delta_choices, thc_from_perm
@@ -78,9 +81,6 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     shape, indices are the two contents; D additionally needs the tableau
     column-strict.  Raises ValueError with the violated condition.
     """
-    from .core import is_partition
-    from .tableaux import is_immaculate, is_ssyt
-
     rows = pair.tableau
     covering = pair.thc
     if not is_immaculate(rows):

@@ -1,7 +1,8 @@
 """Exact integer transition matrices built from combinatorial counts.
 
-The Kostka matrices count tableaux by a transfer DP over content prefixes,
-without building any tableau; the inverses sum the signs of enumerated hook
+Each Kostka matrix is counted by one Pieri walk over content prefixes, which
+grows shapes value by value and yields every column's entries, without
+building any tableau; the inverses sum the signs of enumerated hook
 coverings or rim hook tableaux.
 
 Rows and columns are labeled by the canonical composition order (the NSym
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import IntSeq, compositions_of, dec, flatten, is_composition, partitions_of, perm_sign
+from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
 from .rimhooks import enumerate_srht, srht_content, srht_sign
 from .tunnelhooks import delta_choices
 
@@ -66,92 +67,71 @@ def identity_matrix(degree: int, index_kind: str) -> TransitionMatrix:
 def _signed_counts(
     n: int, index_kind: str, terms: Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]
 ) -> TransitionMatrix:
-    """Entry (row, col): the sum of the signs of the terms of col whose
-    label is row; ``terms(col)`` yields (sign, row label) pairs."""
+    """Entry (row, col): the sum of the weights of the terms of col whose
+    label is row; ``terms(col)`` yields (weight, row label) pairs and is
+    called once per column, in label order."""
     labels = _labels(n, index_kind)
     index = {label: i for i, label in enumerate(labels)}
     entries = [[0] * len(labels) for _ in labels]
     for j, col in enumerate(labels):
-        for sign, row in terms(col):
-            entries[index[row]][j] += sign
+        for weight, row in terms(col):
+            entries[index[row]][j] += weight
     return TransitionMatrix(n, index_kind, labels, tuple(map(tuple, entries)))
 
 
-def _grow(
-    counts: dict[IntSeq, int], c: int, highs: Callable[[IntSeq], IntSeq]
-) -> dict[IntSeq, int]:
-    """Place c copies of the next value: row i of each state grows from its
-    length to at most ``highs(state)[i]``, by c cells in all."""
+def _grow(counts: dict[IntSeq, int], c: int, strip: bool) -> dict[IntSeq, int]:
+    """Place c copies of the next value on every state (a shape): the rows
+    grow and one new row may start below them (the immaculate Pieri rule,
+    arXiv:1208.5191).  With ``strip`` the cells form a horizontal strip
+    (Stanley, EC2 7.10): row i > 0 stays within the old row i - 1, and a
+    new row within the old last row."""
     out: dict[IntSeq, int] = {}
     for state, count in counts.items():
         partial = [((), c)]
-        for have, high in zip(state, highs(state)):
+        for i, have in enumerate(state):
+            high = state[i - 1] if strip and i else have + c
             partial = [
                 (grown + (length,), left - (length - have))
                 for grown, left in partial
                 for length in range(have, min(high, have + left) + 1)
             ]
         for grown, left in partial:
-            if left == 0:
-                out[grown] = out.get(grown, 0) + count
+            if left:
+                if strip and state and left > state[-1]:
+                    continue
+                grown += (left,)
+            out[grown] = out.get(grown, 0) + count
     return out
 
 
-def _count_fillings(
-    shape: IntSeq, contents: Sequence[IntSeq], highs: Callable[[IntSeq], IntSeq]
-) -> tuple[int, ...]:
-    """The number of fillings of ``shape`` with each content.
-
-    The values 1, 2, ... are placed in turn; a state is the tuple of filled
-    row lengths, and ``highs(state)`` bounds the lengths one value can reach
-    from it.  The state counts of a content prefix stay on ``path`` for the
-    contents after it, so in label order (a depth-first walk of the prefix
-    tree) every prefix is grown once.  The last value must complete the
-    shape, so its count is read off the states it can complete.
-    """
-    path = [{(0,) * len(shape): 1}]  # path[k]: state counts after k values
+def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
+    """``terms`` for :func:`_signed_counts`: (count, shape) for every shape
+    the content fills, its values 1, 2, ... placed in turn from the empty
+    shape.  The state counts of each content prefix stay on ``path`` for the
+    contents after it, so in label order (depth-first over the prefixes)
+    every prefix is grown once; the last value's states are not kept."""
+    path = [{(): 1}]  # path[k]: state counts after the first k values
     placed: IntSeq = ()  # the values path covers
-    out = []
-    for beta in contents:
-        head = beta[:-1]
+
+    def terms(content: IntSeq) -> Iterable[tuple[int, IntSeq]]:
+        nonlocal placed
+        head = content[:-1]
         k = 0
         while k < min(len(placed), len(head)) and placed[k] == head[k]:
             k += 1
         del path[k + 1 :]
         for c in head[k:]:
-            path.append(_grow(path[-1], c, highs))
+            path.append(_grow(path[-1], c, strip))
         placed = head
-        out.append(sum(
-            count for state, count in path[-1].items()
-            if all(a <= high for a, high in zip(shape, highs(state)))
-        ))
-    return tuple(out)
+        return ((count, shape) for shape, count in _grow(path[-1], content[-1], strip).items())
 
-
-def nsym_K_row(alpha: IntSeq) -> tuple[int, ...]:
-    """Row alpha of :func:`nsym_K`: the number of immaculate tableaux of
-    shape alpha for every content of its degree, in label order.
-
-    Counted by the immaculate Pieri rule (Berg, Bergeron, Saliola, Serrano,
-    Zabrocki, arXiv:1208.5191): a value lengthens the rows already started,
-    up to alpha, and may start only the next row down.
-    """
-    labels = compositions_of(sum(alpha))
-    if not is_composition(alpha):
-        raise ValueError(f"shape {alpha} is not a composition")
-
-    def highs(state: IntSeq) -> IntSeq:
-        started = sum(1 for length in state if length)
-        return tuple(alpha[: started + 1]) + (0,) * (len(alpha) - started - 1)
-
-    return _count_fillings(tuple(alpha), labels, highs)
+    return terms
 
 
 def nsym_K(n: int) -> TransitionMatrix:
     """Entry (alpha, beta): number of immaculate tableaux of shape alpha and
     content beta."""
-    labels = _labels(n, "compositions")
-    return TransitionMatrix(n, "compositions", labels, tuple(map(nsym_K_row, labels)))
+    return _signed_counts(n, "compositions", _fillings(strip=False))
 
 
 def nsym_Kinv(n: int) -> TransitionMatrix:
@@ -166,16 +146,7 @@ def nsym_Kinv(n: int) -> TransitionMatrix:
 
 def sym_K(n: int) -> TransitionMatrix:
     """Entry (lam, mu): number of SSYT of shape lam and content mu."""
-    labels = _labels(n, "partitions")
-
-    def row(lam: IntSeq) -> tuple[int, ...]:
-        # a value adds a horizontal strip: row i stays within row i - 1
-        def highs(state: IntSeq) -> IntSeq:
-            return tuple(map(min, lam, (lam[0],) + state[:-1]))
-
-        return _count_fillings(lam, labels, highs)
-
-    return TransitionMatrix(n, "partitions", labels, tuple(map(row, labels)))
+    return _signed_counts(n, "partitions", _fillings(strip=True))
 
 
 def sym_Kinv(n: int) -> TransitionMatrix:

@@ -330,7 +330,7 @@ def test_verify_reports_broken_map(capsys, monkeypatch):
     assert record["violation"].startswith("off-diagonal fixed point")
 
 
-@pytest.mark.parametrize("cpus, sizes", [(3, [2, 3]), (None, [])])
+@pytest.mark.parametrize("cpus, sizes", [(3, [3] * 4), (None, []), (8, [5] * 4)])
 def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
     """A pool gets no more processes than tasks or CPUs; none is started here."""
     requested = []
@@ -350,7 +350,7 @@ def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "nk-nkinv",
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--identity", "involutions",
                            "--workers", "10000")
-    assert code == 0 and out == "PASS nk-nkinv n<=3\n"
-    assert requested == sizes  # degrees 1, 2, 3 have 1, 2, 4 rows to map
+    assert code == 0 and out.endswith("PASS involutions n<=2\n")
+    assert requested == sizes  # each of the four maps has 1 + 4 cells at n <= 2

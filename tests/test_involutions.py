@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kostka import core, involutions as inv, tableaux
+from kostka import core, involutions as inv, matrices as mx, tableaux
 from kostka.tunnelhooks import delta_choices, thc_from_perm
 
 # -- the running examples ---------------------------------------------------
@@ -280,6 +281,56 @@ def test_rho_on_random_pairs_at_degrees_9_and_10(data):
     assert len(set(trace.pairs)) == len(trace.pairs)
     for step in trace.pairs:
         assert inv.pair_indices(step) == (lam, mu)
+    tableaux.clear_caches()
+
+
+# one Kostka matrix per degree names the nonzero cells to draw from
+_nsym_K = functools.cache(mx.nsym_K)
+_sym_K = functools.cache(mx.sym_K)
+
+
+def _draw_pair(data, map_name, n):
+    """A random pair of the map's family at degree n, with no draw filtered:
+    the covering first, then an index its matrix entry says is fillable,
+    then a filling."""
+    if map_name == "chi":
+        mu = data.draw(st.sampled_from(core.partitions_of(n)))
+        perm, delta = data.draw(st.sampled_from(delta_choices(mu)))
+        inverse = core.perm_inverse(perm)
+        content = tuple(delta[inverse[i] - 1] for i in range(len(mu)))
+        k, mu_dec = _sym_K(n), core.dec(core.flatten(content))
+        lam = data.draw(st.sampled_from([lam for lam in k.labels if k.entry(lam, mu_dec)]))
+        rows = data.draw(st.sampled_from(tableaux.enumerate_ssyt(lam, content)))
+        return inv.Pair("B", thc_from_perm(mu, perm), rows)
+    shape = data.draw(st.sampled_from(core.compositions_of(n)))
+    perm, delta = data.draw(st.sampled_from(delta_choices(shape)))
+    k = _nsym_K(n)
+    if map_name == "phi":
+        beta = core.flatten(delta)
+        alpha = data.draw(st.sampled_from([alpha for alpha in k.labels if k.entry(alpha, beta)]))
+        rows = data.draw(st.sampled_from(tableaux.enumerate_immaculate(alpha, delta)))
+        return inv.Pair("A", thc_from_perm(shape, perm), rows)
+    beta = data.draw(st.sampled_from([beta for beta in k.labels if k.entry(shape, beta)]))
+    rows = data.draw(st.sampled_from(tableaux.enumerate_immaculate(shape, beta)))
+    return inv.Pair("C", thc_from_perm(shape, perm), rows)
+
+
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi"])
+@seed(20251018)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_maps_on_random_pairs_at_degrees_9_and_10(map_name, data):
+    n = data.draw(st.sampled_from([9, 10]))
+    pair = _draw_pair(data, map_name, n)
+    apply = getattr(inv, map_name)
+    left, right = inv.validate_pair(pair)
+    image = apply(pair)
+    assert apply(image) == pair
+    if image == pair:
+        assert left == right and pair.thc.sign() == 1
+    else:
+        assert left != right and image.thc.sign() == -pair.thc.sign()
+    assert inv.validate_pair(image) == (left, right)
     tableaux.clear_caches()
 
 

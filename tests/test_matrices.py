@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -27,10 +28,11 @@ def test_sym_pair_degree_two():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_nsym_k_rows_count_immaculate_tableaux(n):
-    labels = core.compositions_of(n)
-    for alpha in labels:
-        expected = tuple(len(tableaux.enumerate_immaculate(alpha, beta)) for beta in labels)
-        assert mx.nsym_K_row(alpha) == expected, alpha
+    k = mx.nsym_K(n)
+    assert k.labels == tuple(core.compositions_of(n))
+    for alpha, row in zip(k.labels, k.entries):
+        expected = tuple(len(tableaux.enumerate_immaculate(alpha, beta)) for beta in k.labels)
+        assert row == expected, alpha
     tableaux.clear_caches()
 
 
@@ -44,6 +46,11 @@ def test_sym_k_counts_ssyt(n):
     tableaux.clear_caches()
 
 
+# one matrix per degree serves every example drawn from it
+_nsym_K = functools.cache(mx.nsym_K)
+_sym_K = functools.cache(mx.sym_K)
+
+
 @seed(20251018)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
@@ -51,17 +58,12 @@ def test_kostka_counts_at_degrees_9_and_10(data):
     n = data.draw(st.sampled_from([9, 10]))
     compositions = core.compositions_of(n)
     alpha, beta = data.draw(st.tuples(st.sampled_from(compositions), st.sampled_from(compositions)))
-    count = mx.nsym_K_row(alpha)[compositions.index(beta)]
+    count = _nsym_K(n).entry(alpha, beta)
     assert count == len(tableaux.enumerate_immaculate(alpha, beta))
     partitions = core.partitions_of(n)
     lam, mu = data.draw(st.tuples(st.sampled_from(partitions), st.sampled_from(partitions)))
-    assert mx.sym_K(n).entry(lam, mu) == len(tableaux.enumerate_ssyt(lam, mu))
+    assert _sym_K(n).entry(lam, mu) == len(tableaux.enumerate_ssyt(lam, mu))
     tableaux.clear_caches()
-
-
-def test_nsym_k_row_rejects_non_composition():
-    with pytest.raises(ValueError):
-        mx.nsym_K_row((2, 0, 1))
 
 
 def test_sym_k_fixtures():
