@@ -59,7 +59,6 @@ from .tableaux import (
     enumerate_ssyt,
     is_immaculate,
     is_ssyt,
-    row_multiset,
     shape_of,
 )
 from .tunnelhooks import (

@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -277,13 +276,7 @@ def _check(value) -> dict | None:
         left, right = inv.validate_pair(value)
         return {"kind": "pair", "setKind": value.kind, "left": list(left), "right": list(right)}
     if isinstance(value, inv.Trace):
-        pairs = value.pairs
-        if not pairs or len(value.maps) != len(pairs) - 1:
-            raise ValueError("a trace holds one or more pairs and one map between each two")
-        for k, pair in enumerate(pairs):
-            if 0 < k < len(pairs) - 1 and pair.kind == "D":
-                pair = replace(pair, kind="E")  # rho walks from D to D through E
-            inv.validate_pair(pair)
+        inv.validate_trace(value)
         return {"kind": "trace"}
     if isinstance(value, tuple) and all(isinstance(row, tuple) for row in value):
         if not is_immaculate(value):

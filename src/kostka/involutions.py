@@ -22,12 +22,19 @@ reduce to Kronecker deltas: that is the matrix-identity machinery.
 ``phi``, ``chi``, ``psi`` and ``theta`` are pairwise-independent involutions;
 ``rho`` composes the last two along alternating paths.  All maps are pure;
 selection helpers are exposed separately so tests can pin the choices.
+
+``enumerate_pairs`` lists A/B pairs from the coverings of one shape.  For
+C/D/E it reads a per-degree covering index, built in one pass over every
+shape of the degree and bucketed by left index, so each cell reads only
+its own coverings.  The index holds one (family, degree) at a time.
+``verify_cell`` checks a map exhaustively on one cell, closure included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Callable
 
 from .core import (
     IntSeq,
@@ -121,8 +128,49 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     raise ValueError(f"unknown pair family {pair.kind!r}")
 
 
+def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
+    """Check a ``rho`` walk; return the (left, right) indices all its pairs
+    share.
+
+    The walk runs from D to D through E, so an interior pair labelled D is
+    checked as an E pair.  Raises ValueError when the trace is malformed,
+    a pair fails :func:`validate_pair`, or two pairs have different indices
+    (``psi`` and ``theta`` conserve both contents).
+    """
+    pairs = trace.pairs
+    if not pairs or len(trace.maps) != len(pairs) - 1:
+        raise ValueError("a trace holds one or more pairs and one map between each two")
+    indices = set()
+    for k, pair in enumerate(pairs):
+        if 0 < k < len(pairs) - 1 and pair.kind == "D":
+            pair = replace(pair, kind="E")
+        indices.add(validate_pair(pair))
+    if len(indices) != 1:
+        raise ValueError("trace pairs have different indices")
+    return indices.pop()
+
+
+@lru_cache(maxsize=1)
+def _coverings(kind: str, n: int) -> dict[IntSeq, tuple[TunnelHookCovering, ...]]:
+    """The degree-n coverings of C/D/E pairs, bucketed by the left index
+    they give (``flatten(delta)`` for C, its ``dec`` for D/E), each bucket
+    in label order of shape (partitions for D, compositions for C/E), then
+    in ``delta_choices`` order.  One (family, degree) is held at a time:
+    the verifier asks for cells degree by degree and map by map."""
+    shapes = partitions_of(n) if kind == "D" else compositions_of(n)
+    buckets: dict[IntSeq, list[TunnelHookCovering]] = {}
+    for shape in shapes:
+        for perm, delta in delta_choices(shape):
+            weight = flatten(delta)
+            key = weight if kind == "C" else dec(weight)
+            buckets.setdefault(key, []).append(TunnelHookCovering(shape, perm))
+    return {key: tuple(bucket) for key, bucket in buckets.items()}
+
+
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
-    """The complete pair set of the given family and index pair."""
+    """The complete pair set of the given family and index pair.  For C/D/E
+    it fills the shape of each covering the per-degree index
+    :func:`_coverings` files under ``left``, with content ``right``."""
     left = tuple(left)
     right = tuple(right)
     n = sum(left)
@@ -142,22 +190,10 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
             for rows in enumerate_ssyt(left, reordered):
                 out.append(Pair("B", covering, rows))
     elif kind in ("C", "D", "E"):
-        if kind == "D":
-            shapes: Sequence[IntSeq] = partitions_of(n)
-        else:
-            shapes = compositions_of(n)
         fill = enumerate_ssyt if kind == "D" else enumerate_immaculate
-        for shape in shapes:
-            for perm, delta in delta_choices(shape):
-                weight = flatten(delta)
-                if kind == "C":
-                    if weight != left:
-                        continue
-                elif dec(weight) != left:
-                    continue
-                covering = TunnelHookCovering(shape, perm)
-                for rows in fill(shape, right):
-                    out.append(Pair(kind, covering, rows))
+        for covering in _coverings(kind, n).get(left, ()):
+            for rows in fill(covering.shape, right):
+                out.append(Pair(kind, covering, rows))
     else:
         raise ValueError(f"unknown pair family {kind!r}")
     return tuple(out)
@@ -426,9 +462,11 @@ def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
 def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     """Exhaustively check one map on the pair set of one index pair.
 
-    Checks: the map is an involution, reverses the covering's sign off its
-    fixed points, fixes exactly the diagonal pairs (which carry sign +1 and
-    are unique), and that the signed pair count is the Kronecker delta.
+    Checks: the map is an involution, keeps the set closed (the image, and
+    for ``rho`` every pair of its walk, see :func:`validate_trace`, has the
+    same family and indices), reverses the covering's sign off its fixed
+    points, fixes exactly the diagonal pairs (which carry sign +1 and are
+    unique), and that the signed pair count is the Kronecker delta.
     The report holds at most one violation: checking stops at the first.
     """
     kind = _family(map_name)
@@ -440,7 +478,8 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     complain = report.violations.append
     for pair in pairs:
         report.pairs_checked += 1
-        signed += pair.thc.sign()
+        sign = pair.thc.sign()
+        signed += sign
         if map_name == "rho":
             image, trace = apply(pair)
             report.max_walk = max(report.max_walk, len(trace.maps))
@@ -451,15 +490,22 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
         if back != pair:
             complain(f"{map_name} is not an involution at {left},{right}: {pair}")
             return report
+        try:
+            indices = validate_trace(trace) if map_name == "rho" else validate_pair(image)
+        except ValueError:
+            indices = None
+        if indices != (left, right):
+            complain(f"image leaves {kind}[{left},{right}]: {pair}")
+            return report
         if image == pair:
             report.fixed_points += 1
             if left != right:
                 complain(f"off-diagonal fixed point at {left},{right}: {pair}")
                 return report
-            if pair.thc.sign() != 1:
+            if sign != 1:
                 complain(f"fixed point of negative sign at {left}: {pair}")
                 return report
-        elif image.thc.sign() != -pair.thc.sign():
+        elif image.thc.sign() != -sign:
             complain(f"{map_name} failed to reverse sign at {left},{right}: {pair}")
             return report
     expected = 1 if left == right else 0

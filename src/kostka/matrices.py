@@ -55,15 +55,6 @@ def _labels(degree: int, index_kind: str) -> tuple[IntSeq, ...]:
     raise ValueError(f"unknown index kind {index_kind!r}")
 
 
-def identity_matrix(degree: int, index_kind: str) -> TransitionMatrix:
-    labels = _labels(degree, index_kind)
-    size = len(labels)
-    entries = tuple(
-        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
-    )
-    return TransitionMatrix(degree, index_kind, labels, entries)
-
-
 def _signed_counts(
     n: int, index_kind: str, terms: Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]
 ) -> TransitionMatrix:

@@ -38,33 +38,18 @@ def content_vector(rows: Rows, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def row_multiset(rows: Rows, i: int) -> tuple[int, ...]:
-    """Entries of row i (1-based) as a sorted tuple; rows are stored sorted."""
-    if not 1 <= i <= len(rows):
-        raise ValueError(f"row {i} out of range")
-    return tuple(sorted(rows[i - 1]))
-
-
 def is_immaculate(rows: Rows) -> bool:
     if not rows or not all(rows):
         return False
-    for row in rows:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-            return False
-        if any(v < 1 for v in row):
-            return False
-    first_col = [row[0] for row in rows]
-    return all(a < b for a, b in zip(first_col, first_col[1:]))
+    if any(row[0] < 1 or list(row) != sorted(row) for row in rows):
+        return False
+    return all(above[0] < row[0] for above, row in zip(rows, rows[1:]))
 
 
 def is_ssyt(rows: Rows) -> bool:
     if not is_immaculate(rows) or not is_partition(shape_of(rows)):
         return False
-    for i in range(1, len(rows)):
-        above = rows[i - 1]
-        if any(above[j] >= v for j, v in enumerate(rows[i])):
-            return False
-    return True
+    return all(a < b for above, row in zip(rows, rows[1:]) for a, b in zip(above, row))
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,19 @@
 Everything here recomputes quantities from first principles by a different
 route than the library: partition counts by the pentagonal recurrence,
 permutation signs by bubble sorting, rim hook tableaux by raw path search
-over cell sets, tableau counts by filtering all multiset arrangements.
+over cell sets, tableau counts by filtering all multiset arrangements, and
+C/D/E pair sets by scanning every covering of the degree for each cell.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from kostka import core
+from kostka.involutions import Pair
+from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
+from kostka.tunnelhooks import TunnelHookCovering, delta_choices
 
 
 def partition_count(n: int) -> int:
@@ -133,3 +139,22 @@ def fraction_inverse(entries):
                 factor = m[r][k]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def pairs_by_scan(kind, left, right):
+    """The C/D/E pair set of one index pair by scanning every shape of the
+    degree and keeping the coverings whose content gives ``left``: the
+    per-cell search the library's per-degree covering index replaced."""
+    left, right = tuple(left), tuple(right)
+    n = sum(left)
+    shapes = core.partitions_of(n) if kind == "D" else core.compositions_of(n)
+    fill = enumerate_ssyt if kind == "D" else enumerate_immaculate
+    out = []
+    for shape in shapes:
+        for perm, delta in delta_choices(shape):
+            weight = core.flatten(delta)
+            if (weight if kind == "C" else core.dec(weight)) != left:
+                continue
+            covering = TunnelHookCovering(shape, perm)
+            out.extend(Pair(kind, covering, rows) for rows in fill(shape, right))
+    return tuple(out)

@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import itertools
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from oracles import pairs_by_scan
 
 from kostka import core, involutions as inv, matrices as mx, tableaux
 from kostka.tunnelhooks import delta_choices, thc_from_perm
@@ -358,6 +360,21 @@ def test_diagonal_pair_sets_are_singletons():
                 assert len(inv.enumerate_pairs(kind, lam, lam)) == 1
 
 
+@pytest.mark.parametrize("kind", ["C", "D", "E"])
+def test_pair_sets_match_the_per_cell_scan(kind):
+    # the per-degree covering index gives every cell the scan's tuple, in order
+    for n in range(1, 7):
+        indices = core.compositions_of(n) if kind == "C" else core.partitions_of(n)
+        for left, right in itertools.product(indices, repeat=2):
+            assert inv.enumerate_pairs(kind, left, right) == pairs_by_scan(kind, left, right)
+
+
+def test_covering_index_holds_one_degree():
+    inv.verify_involution("psi", 5)
+    inv.verify_involution("rho", 5)
+    assert inv._coverings.cache_info().currsize <= 1
+
+
 @pytest.mark.parametrize("n", range(1, 5))
 def test_signed_sums_are_kronecker_delta(n):
     comps = core.compositions_of(n)
@@ -401,6 +418,27 @@ def test_theta_suite(n):
             assert after[t:] == before[t:]
             assert inv.theta(image) == pair
             assert tableaux.bad_cells(image.tableau)
+
+
+def test_verify_cell_rejects_an_image_outside_the_set(monkeypatch):
+    # psi relabelled between C and E is still a sign-reversing involution
+    # without off-diagonal fixed points, but its images are E pairs
+    def relabelled(pair):
+        return dataclasses.replace(inv.psi(pair), kind="E" if pair.kind == "C" else "C")
+
+    monkeypatch.setitem(inv._MAPS, "psi", ("C", relabelled))
+    report = inv.verify_cell("psi", ((1, 2), (1, 1, 1)))
+    assert report.violations
+    assert report.violations[0].startswith("image leaves C[(1, 2),(1, 1, 1)]")
+
+
+def test_validate_trace_checks_interior_pairs_as_e_pairs():
+    _, trace = inv.rho(RHO_STORY)
+    assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
+    with pytest.raises(ValueError, match="column-strict"):
+        inv.validate_pair(trace.pairs[1])
+    with pytest.raises(ValueError, match="different indices"):
+        inv.validate_trace(inv.Trace((RHO_STORY, RHO_SMALL), ("psi",)))
 
 
 def test_verify_involution_rejects_unknown_map():

@@ -112,7 +112,9 @@ def test_sym_kinv_three_routes_agree(n):
 
 def test_mat_mul_identity_neutral():
     a = mx.nsym_K(3)
-    ident = mx.identity_matrix(3, "compositions")
+    size = len(a.labels)
+    entries = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    ident = mx.TransitionMatrix(3, "compositions", a.labels, entries)
     assert mx.mat_mul(ident, a).entries == a.entries
     assert mx.mat_mul(a, ident).entries == a.entries
     with pytest.raises(ValueError):

@@ -34,13 +34,6 @@ def test_content_vector():
         tableaux.content_vector(BIG_SSYT, 5)
 
 
-def test_row_multiset():
-    assert tableaux.row_multiset(BIG_IMMACULATE, 3) == (3, 3, 3, 3, 3, 4, 6)
-    assert tableaux.row_multiset(BIG_SSYT, 3) == (4, 4, 4, 4, 5)
-    with pytest.raises(ValueError):
-        tableaux.row_multiset(BIG_SSYT, 5)
-
-
 def test_validators():
     assert tableaux.is_immaculate(BIG_IMMACULATE)
     assert not tableaux.is_ssyt(BIG_IMMACULATE)  # shape is not a partition
