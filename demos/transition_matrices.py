@@ -1,7 +1,7 @@
 """Kostka matrices and their inverses, built and checked exactly.
 
 Walks through the four transition matrices at small degree: entries are
-tableau counts or signed hook-covering counts, everything is an exact
+tableau counts or signed hook counts, everything is an exact
 integer, and the inverse pairs really multiply to the identity in both
 orders.
 """
@@ -20,7 +20,7 @@ print(matrix_to_csv(k))
 print()
 
 kinv = mx.sym_Kinv(n)
-print(f"K-inverse at degree {n}: signed hook-covering counts")
+print(f"K-inverse at degree {n}: signed special rim hook counts")
 print(matrix_to_csv(kinv))
 print()
 
@@ -42,15 +42,15 @@ print()
 
 ###############################################################################
 # Three independent routes to the inverse Kostka matrix must agree: signed
-# covering counts, signed rim-hook-tableau counts, and fraction-free
-# elimination applied to K itself.
+# counts peeled one rim hook at a time, signed counts of listed rim hook
+# tableaux, and fraction-free elimination applied to K itself.
 
 for degree in range(1, 7):
     a = mx.sym_Kinv(degree)
     b = mx.sym_Kinv_from_rim_hooks(degree)
     c = mx.exact_inverse_matrix(mx.sym_K(degree))
     assert a.entries == b.entries == c.entries
-    print(f"degree {degree}: coverings = rim hooks = elimination", u"✓")
+    print(f"degree {degree}: peel = rim hook tableaux = elimination", u"✓")
 
 ###############################################################################
 # The Jacobi-Trudi determinant expansion, term by term: each surviving

@@ -149,8 +149,11 @@ def _verify_involutions(n: int, workers: int) -> dict | None:
         total = inv.InvolutionReport(kind=reports[0].kind, map_name=map_name, degree=n)
         for (left, right), report in zip(cells, reports):
             if report.violations:
-                return {"map": map_name, "indices": [list(left), list(right)],
-                        "violation": report.violations[0]}
+                bad = {"map": map_name, "indices": [list(left), list(right)],
+                       "violation": report.violations[0]}
+                if report.pair is not None:
+                    bad["pair"] = sz.pair_to_obj(report.pair)
+                return bad
             total.absorb(report)
         stats = f"map={map_name} pairs={total.pairs_checked} fixed={total.fixed_points}"
         if map_name == "rho":

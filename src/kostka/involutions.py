@@ -417,6 +417,7 @@ class InvolutionReport:
     fixed_points: int = 0
     max_walk: int = 0
     violations: list[str] = field(default_factory=list)
+    pair: Pair | None = None  # the pair of the first violation, if it has one
 
     @property
     def ok(self) -> bool:
@@ -428,6 +429,8 @@ class InvolutionReport:
         self.pairs_checked += other.pairs_checked
         self.fixed_points += other.fixed_points
         self.max_walk = max(self.max_walk, other.max_walk)
+        if not self.violations:
+            self.pair = other.pair
         self.violations.extend(other.violations)
 
 
@@ -468,6 +471,8 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     points, fixes exactly the diagonal pairs (which carry sign +1 and are
     unique), and that the signed pair count is the Kronecker delta.
     The report holds at most one violation: checking stops at the first.
+    A violation at one pair records that pair; the two violations of the
+    whole set (signed sum, diagonal count) record none.
     """
     kind = _family(map_name)
     apply = _MAPS[map_name][1]
@@ -476,6 +481,12 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     pairs = enumerate_pairs(kind, left, right)
     signed = 0
     complain = report.violations.append
+
+    def fail(violation: str) -> InvolutionReport:
+        complain(violation)
+        report.pair = pair
+        return report
+
     for pair in pairs:
         report.pairs_checked += 1
         sign = pair.thc.sign()
@@ -488,26 +499,21 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
             image = apply(pair)
             back = apply(image)
         if back != pair:
-            complain(f"{map_name} is not an involution at {left},{right}: {pair}")
-            return report
+            return fail(f"{map_name} is not an involution at {left},{right}: {pair}")
         try:
             indices = validate_trace(trace) if map_name == "rho" else validate_pair(image)
         except ValueError:
             indices = None
         if indices != (left, right):
-            complain(f"image leaves {kind}[{left},{right}]: {pair}")
-            return report
+            return fail(f"image leaves {kind}[{left},{right}]: {pair}")
         if image == pair:
             report.fixed_points += 1
             if left != right:
-                complain(f"off-diagonal fixed point at {left},{right}: {pair}")
-                return report
+                return fail(f"off-diagonal fixed point at {left},{right}: {pair}")
             if sign != 1:
-                complain(f"fixed point of negative sign at {left}: {pair}")
-                return report
+                return fail(f"fixed point of negative sign at {left}: {pair}")
         elif image.thc.sign() != -sign:
-            complain(f"{map_name} failed to reverse sign at {left},{right}: {pair}")
-            return report
+            return fail(f"{map_name} failed to reverse sign at {left},{right}: {pair}")
     expected = 1 if left == right else 0
     if signed != expected:
         complain(f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}")

@@ -2,8 +2,10 @@
 
 Each Kostka matrix is counted by one Pieri walk over content prefixes, which
 grows shapes value by value and yields every column's entries, without
-building any tableau; the inverses sum the signs of enumerated hook
-coverings or rim hook tableaux.
+building any tableau.  The Sym inverse is counted too, by peeling
+special rim hooks off each shape; the NSym inverse sums the signs of
+enumerated hook coverings.  Listing rim hook tableaux (and, in the tests,
+Jacobi-Trudi terms) stays as an independent route to the Sym inverse.
 
 Rows and columns are labeled by the canonical composition order (the NSym
 pair) or by partitions in reverse-lexicographic order (the Sym pair).  All
@@ -141,9 +143,28 @@ def sym_K(n: int) -> TransitionMatrix:
 
 
 def sym_Kinv(n: int) -> TransitionMatrix:
-    """Entry (lam, mu): signed count of hook coverings of partition shape mu
-    whose content rearranges to lam (summing over all content orderings)."""
-    return _signed_counts(n, "partitions", jacobi_trudi_terms)
+    """Entry (lam, mu): signed count of special rim hook tableaux of shape mu
+    with hook sizes lam (Egecioglu-Remmel), i.e. of the terms of
+    det(h_{mu_i - i + j}) with exponents lam.  Counted by peeling the hook
+    that ends in the last row (expanding along the last column): from row i
+    of l it has mu_i + l - i cells, sign (-1)^(l - i), and leaves mu_1..mu_{i-1},
+    mu_{i+1} - 1, ..., mu_l - 1; subshape counts are memoized for the call."""
+    memo: dict[IntSeq, dict[IntSeq, int]] = {(): {(): 1}}
+
+    def counts(mu: IntSeq) -> dict[IntSeq, int]:
+        if mu not in memo:
+            ell = len(mu)
+            out: dict[IntSeq, int] = {}
+            for i, part in enumerate(mu):
+                size, sign = part + ell - 1 - i, (-1) ** (ell - 1 - i)
+                rest = mu[:i] + tuple(p - 1 for p in mu[i + 1 :] if p > 1)
+                for sizes, count in counts(rest).items():
+                    key = tuple(sorted(sizes + (size,), reverse=True))
+                    out[key] = out.get(key, 0) + sign * count
+            memo[mu] = {key: count for key, count in out.items() if count}
+        return memo[mu]
+
+    return _signed_counts(n, "partitions", lambda mu: ((c, lam) for lam, c in counts(mu).items()))
 
 
 def sym_Kinv_from_rim_hooks(n: int) -> TransitionMatrix:
@@ -238,7 +259,8 @@ def exact_inverse_matrix(a: TransitionMatrix) -> TransitionMatrix:
 
 
 def jacobi_trudi_terms(lam: Sequence[int]) -> list[tuple[int, IntSeq]]:
-    """The surviving terms of det(h_{lam_i - i + j}), one per permutation.
+    """The surviving terms of det(h_{lam_i - i + j}), one per permutation: an
+    oracle for the determinant-term checks, not a route :func:`sym_Kinv` takes.
 
     A permutation contributes iff lam_i - i + sigma_i >= 0 for all i (an
     index below zero kills the term); the term is recorded as its sign and

@@ -3,8 +3,9 @@
 Everything here recomputes quantities from first principles by a different
 route than the library: partition counts by the pentagonal recurrence,
 permutation signs by bubble sorting, rim hook tableaux by raw path search
-over cell sets, tableau counts by filtering all multiset arrangements, and
-C/D/E pair sets by scanning every covering of the degree for each cell.
+over cell sets, tableau counts by filtering all multiset arrangements,
+C/D/E pair sets by scanning every covering of the degree for each cell, and
+the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from kostka import core
 from kostka.involutions import Pair
+from kostka.matrices import _signed_counts, jacobi_trudi_terms
 from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
 from kostka.tunnelhooks import TunnelHookCovering, delta_choices
 
@@ -158,3 +160,10 @@ def pairs_by_scan(kind, left, right):
             covering = TunnelHookCovering(shape, perm)
             out.extend(Pair(kind, covering, rows) for rows in fill(shape, right))
     return tuple(out)
+
+
+def sym_Kinv_by_terms(n):
+    """K^-1 of Sym summed over the surviving Jacobi-Trudi terms, one
+    ``delta_choices`` permutation each: the covering route the library's
+    rim hook peel replaced."""
+    return _signed_counts(n, "partitions", jacobi_trudi_terms)

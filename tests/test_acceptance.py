@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion.  Setting KOSTKA_RELEASE=1 raises the involution-suite bound from
-degree 6 to degree 8.
+degree 6 to degree 8 and the Sym identity bound from degree 10 to degree 16.
 """
 
 import itertools
@@ -13,10 +13,12 @@ from pathlib import Path
 from kostka import core, involutions as inv, matrices as mx
 from kostka import rimhooks as rh, serialize as sz, tableaux, tunnelhooks as th
 from kostka.render import render_trace
+from oracles import sym_Kinv_by_terms
 
 DATA = Path(__file__).parent / "data"
 RELEASE = os.environ.get("KOSTKA_RELEASE") == "1"
 INVOLUTION_BOUND = 8 if RELEASE else 6
+SYM_IDENTITY_BOUND = 16 if RELEASE else 10
 
 
 def _report(criterion: int, message: str) -> None:
@@ -33,12 +35,14 @@ def test_criterion_1_nsym_identities():
 
 
 def test_criterion_2_sym_identities():
-    for n in range(1, 11):
+    for n in range(1, SYM_IDENTITY_BOUND + 1):
         k = mx.sym_K(n)
         kinv = mx.sym_Kinv(n)
         assert mx.is_identity(mx.mat_mul(k, kinv)), f"K Kinv != I at degree {n}"
         assert mx.is_identity(mx.mat_mul(kinv, k)), f"Kinv K != I at degree {n}"
-    _report(2, "Sym K and K-inverse multiply to the identity, both orders, n <= 10")
+    _report(
+        2, f"Sym K and K-inverse multiply to the identity, both orders, n <= {SYM_IDENTITY_BOUND}"
+    )
 
 
 def test_criterion_3_involution_suites():
@@ -158,7 +162,8 @@ def test_criterion_6_cross_oracles():
         a = mx.sym_Kinv(n)
         b = mx.sym_Kinv_from_rim_hooks(n)
         c = mx.exact_inverse_matrix(mx.sym_K(n))
-        assert a.entries == b.entries == c.entries, f"inverse routes disagree at {n}"
+        d = sym_Kinv_by_terms(n)
+        assert a.entries == b.entries == c.entries == d.entries, f"inverse routes disagree at {n}"
         for lam in core.partitions_of(n):
             det_terms = Counter(mx.jacobi_trudi_terms(lam))
             hook_terms = Counter(
@@ -166,7 +171,11 @@ def test_criterion_6_cross_oracles():
                 for t in rh.enumerate_srht(lam)
             )
             assert det_terms == hook_terms, f"determinant terms disagree at {lam}"
-    _report(6, "covering sums = rim hook sums = fraction-free inverse; determinant term multisets match, n <= 8")
+    _report(
+        6,
+        "rim hook peel = covering sums = rim hook sums = fraction-free inverse; "
+        "determinant term multisets match, n <= 8",
+    )
 
 
 def _frozen(name: str) -> str:

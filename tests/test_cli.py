@@ -49,6 +49,19 @@ def test_verify_identities(capsys):
         assert out.strip().startswith("PASS")
 
 
+def test_verify_sym_frontier_under_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--identity", "kkinv", "--n", "14", "--cap", "14")
+    assert code == 0
+    assert out == "PASS kkinv n<=14\n"
+
+
+def test_verify_sym_cap_refusal(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--identity", "kkinv", "--n", "11"])
+    assert exc.value.code == 2
+    assert "cap 10" in capsys.readouterr().err
+
+
 def test_verify_involutions(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "involutions")
     assert code == 0
@@ -319,15 +332,25 @@ def test_verify_workers_byte_identical(capsys, identity, n):
     assert outputs[0] == outputs[1]
 
 
-def test_verify_reports_broken_map(capsys, monkeypatch):
+def test_verify_reports_broken_map(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: pair))
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "involutions")
     assert code == 1
     record = json.loads(out)
-    assert set(record) == {"map", "indices", "violation"}
+    assert set(record) == {"map", "indices", "violation", "pair"}
     left, right = record["indices"]
     assert record["map"] == "phi" and left != right
     assert record["violation"].startswith("off-diagonal fixed point")
+    # the offending pair replays as it stands
+    source = tmp_path / "pair.json"
+    source.write_text(json.dumps(record["pair"]))
+    code, out, _ = run_cli(capsys, "validate", "--input", str(source))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["valid"] and [verdict["left"], verdict["right"]] == [left, right]
+    code, out, _ = run_cli(capsys, "involution", "run", "--alg", "phi", "--input", str(source))
+    assert code == 0
+    assert json.loads(out) != record["pair"]  # the real phi moves the pair the broken one fixed
 
 
 @pytest.mark.parametrize("cpus, sizes", [(3, [3] * 4), (None, []), (8, [5] * 4)])

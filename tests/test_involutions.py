@@ -432,6 +432,19 @@ def test_verify_cell_rejects_an_image_outside_the_set(monkeypatch):
     assert report.violations[0].startswith("image leaves C[(1, 2),(1, 1, 1)]")
 
 
+def test_report_records_the_offending_pair(monkeypatch):
+    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: pair))
+    report = inv.verify_involution("psi", 3)
+    assert report.violations[0].startswith("off-diagonal fixed point")
+    assert report.violations[0].endswith(f": {report.pair}")
+    assert inv.validate_pair(report.pair)[0] != inv.validate_pair(report.pair)[1]
+    # a violation of the whole set names no single pair
+    monkeypatch.setattr(inv, "enumerate_pairs", lambda kind, left, right: ())
+    report = inv.verify_cell("psi", ((2,), (2,)))
+    assert report.violations == ["signed sum over C[(2,),(2,)] is 0, want 1"]
+    assert report.pair is None
+
+
 def test_validate_trace_checks_interior_pairs_as_e_pairs():
     _, trace = inv.rho(RHO_STORY)
     assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)

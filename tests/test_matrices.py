@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kostka import core, matrices as mx, tableaux
-from oracles import fraction_inverse
+from oracles import fraction_inverse, sym_Kinv_by_terms
 
 
 def test_nsym_k_degree_two():
@@ -101,13 +101,27 @@ def test_sym_identities_small(n):
     assert mx.is_identity(mx.mat_mul(kinv, k))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_sym_kinv_three_routes_agree(n):
-    from_coverings = mx.sym_Kinv(n)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_sym_kinv_four_routes_agree(n):
+    from_peel = mx.sym_Kinv(n)
+    from_coverings = sym_Kinv_by_terms(n)
     from_rim_hooks = mx.sym_Kinv_from_rim_hooks(n)
     from_elimination = mx.exact_inverse_matrix(mx.sym_K(n))
-    assert from_coverings.entries == from_rim_hooks.entries
-    assert from_coverings.entries == from_elimination.entries
+    assert from_peel == from_coverings
+    assert from_peel.entries == from_rim_hooks.entries
+    assert from_peel.entries == from_elimination.entries
+
+
+@pytest.mark.parametrize("n", range(8, 11))
+def test_sym_kinv_peel_matches_covering_terms(n):
+    assert mx.sym_Kinv(n) == sym_Kinv_by_terms(n)
+
+
+def test_sym_identities_frontier():
+    for m in range(11, 15):
+        k, kinv = mx.sym_K(m), mx.sym_Kinv(m)
+        assert mx.is_identity(mx.mat_mul(k, kinv)), m
+        assert mx.is_identity(mx.mat_mul(kinv, k)), m
 
 
 def test_mat_mul_identity_neutral():
