@@ -152,14 +152,19 @@ def perm_inverse(sigma: Perm) -> Perm:
 
 
 def perm_sign(sigma: Perm) -> int:
-    """Parity of the inversion count: +1 even, -1 odd."""
-    inversions = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
+    """Parity of the inversion count, +1 even and -1 odd, read off the
+    cycles: a permutation of n points with c cycles has parity n - c."""
+    seen = [False] * len(sigma)
+    parity = len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        parity -= 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j] - 1
+    return -1 if parity % 2 else 1
 
 
 def lehmer_code(sigma: Perm) -> IntSeq:

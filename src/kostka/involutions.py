@@ -28,6 +28,9 @@ C/D/E it reads a per-degree covering index, built in one pass over every
 shape of the degree and bucketed by left index, so each cell reads only
 its own coverings.  The index holds one (family, degree) at a time.
 ``verify_cell`` checks a map exhaustively on one cell, closure included.
+It visits the pair set one orbit at a time: the map sends an unvisited
+pair p to q and q back to p, and that one visit checks both pairs, so
+the map runs twice per orbit rather than twice per pair.
 """
 
 from __future__ import annotations
@@ -467,53 +470,76 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
 
     Checks: the map is an involution, keeps the set closed (the image, and
     for ``rho`` every pair of its walk, see :func:`validate_trace`, has the
-    same family and indices), reverses the covering's sign off its fixed
-    points, fixes exactly the diagonal pairs (which carry sign +1 and are
-    unique), and that the signed pair count is the Kronecker delta.
+    same family and indices, and the image is one of the enumerated pairs),
+    reverses the covering's sign off its fixed points, fixes exactly the
+    diagonal pairs (which carry sign +1 and are unique), and that the signed
+    pair count is the Kronecker delta.
+
+    The pairs are visited one orbit at a time: a pair p not yet met gives
+    q = map(p) and map(q), which must be p, so one visit checks both pairs
+    of the orbit {p, q} (each as the image of the other) and q is skipped
+    when the scan reaches it.  As the maps are pure this asserts for every
+    pair what applying the map to it twice would, with half the calls; the
+    counts of the report still cover every pair.
     The report holds at most one violation: checking stops at the first.
-    A violation at one pair records that pair; the two violations of the
-    whole set (signed sum, diagonal count) record none.
+    A violation at one pair records the pair whose image broke the rule;
+    the two violations of the whole set (signed sum, diagonal count) record
+    none.
     """
     kind = _family(map_name)
     apply = _MAPS[map_name][1]
     left, right = cell
     report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left), index_pairs=1)
     pairs = enumerate_pairs(kind, left, right)
+    members = set(pairs)
+    done: set[Pair] = set()  # partners already checked with their orbit
     signed = 0
     complain = report.violations.append
 
-    def fail(violation: str) -> InvolutionReport:
-        complain(violation)
+    def fail(violation: str, pair: Pair) -> InvolutionReport:
+        complain(f"{violation}: {pair}")
         report.pair = pair
         return report
+
+    def walk(pair: Pair) -> tuple[Pair, Trace | None]:
+        if map_name == "rho":
+            image, trace = apply(pair)
+            report.max_walk = max(report.max_walk, len(trace.maps))
+            return image, trace
+        return apply(pair), None
+
+    def leaves(image: Pair, trace: Trace | None) -> bool:
+        try:
+            indices = validate_pair(image) if trace is None else validate_trace(trace)
+        except ValueError:
+            return True
+        return indices != (left, right)
 
     for pair in pairs:
         report.pairs_checked += 1
         sign = pair.thc.sign()
         signed += sign
-        if map_name == "rho":
-            image, trace = apply(pair)
-            report.max_walk = max(report.max_walk, len(trace.maps))
-            back, _ = apply(image)
-        else:
-            image = apply(pair)
-            back = apply(image)
+        if pair in done:
+            continue
+        image, trace = walk(pair)
+        back, back_trace = walk(image)
         if back != pair:
-            return fail(f"{map_name} is not an involution at {left},{right}: {pair}")
-        try:
-            indices = validate_trace(trace) if map_name == "rho" else validate_pair(image)
-        except ValueError:
-            indices = None
-        if indices != (left, right):
-            return fail(f"image leaves {kind}[{left},{right}]: {pair}")
+            return fail(f"{map_name} is not an involution at {left},{right}", pair)
+        if leaves(image, trace):
+            return fail(f"image leaves {kind}[{left},{right}]", pair)
+        if image != pair and leaves(back, back_trace):
+            return fail(f"image leaves {kind}[{left},{right}]", image)
+        if image not in members:
+            return fail(f"image missing from the enumerated {kind}[{left},{right}]", pair)
         if image == pair:
             report.fixed_points += 1
             if left != right:
-                return fail(f"off-diagonal fixed point at {left},{right}: {pair}")
+                return fail(f"off-diagonal fixed point at {left},{right}", pair)
             if sign != 1:
-                return fail(f"fixed point of negative sign at {left}: {pair}")
+                return fail(f"fixed point of negative sign at {left}", pair)
         elif image.thc.sign() != -sign:
-            return fail(f"{map_name} failed to reverse sign at {left},{right}: {pair}")
+            return fail(f"{map_name} failed to reverse sign at {left},{right}", pair)
+        done.add(image)
     expected = 1 if left == right else 0
     if signed != expected:
         complain(f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}")

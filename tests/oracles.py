@@ -4,8 +4,9 @@ Everything here recomputes quantities from first principles by a different
 route than the library: partition counts by the pentagonal recurrence,
 permutation signs by bubble sorting, rim hook tableaux by raw path search
 over cell sets, tableau counts by filtering all multiset arrangements,
-C/D/E pair sets by scanning every covering of the degree for each cell, and
-the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term.
+C/D/E pair sets by scanning every covering of the degree for each cell,
+the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
+and the exhaustive involution check by applying the map twice to every pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from kostka import core
+from kostka import core, involutions as inv
 from kostka.involutions import Pair
 from kostka.matrices import _signed_counts, jacobi_trudi_terms
 from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
@@ -167,3 +168,57 @@ def sym_Kinv_by_terms(n):
     ``delta_choices`` permutation each: the covering route the library's
     rim hook peel replaced."""
     return _signed_counts(n, "partitions", jacobi_trudi_terms)
+
+
+def verify_cell_per_pair(map_name, cell):
+    """``involutions.verify_cell`` as one loop over the pairs, applying the
+    map to each pair and to its image: the per-pair check the library's
+    orbit visiting replaced.  Reads the map and the pair set through the
+    module, so a test's stand-ins reach it too."""
+    kind = inv._family(map_name)
+    apply = inv._MAPS[map_name][1]
+    left, right = cell
+    report = inv.InvolutionReport(kind=kind, map_name=map_name, degree=sum(left), index_pairs=1)
+    pairs = inv.enumerate_pairs(kind, left, right)
+    signed = 0
+
+    def fail(violation):
+        report.violations.append(f"{violation}: {pair}")
+        report.pair = pair
+        return report
+
+    for pair in pairs:
+        report.pairs_checked += 1
+        sign = pair.thc.sign()
+        signed += sign
+        if map_name == "rho":
+            image, trace = apply(pair)
+            report.max_walk = max(report.max_walk, len(trace.maps))
+            back, _ = apply(image)
+        else:
+            image = apply(pair)
+            back = apply(image)
+        if back != pair:
+            return fail(f"{map_name} is not an involution at {left},{right}")
+        try:
+            indices = inv.validate_trace(trace) if map_name == "rho" else inv.validate_pair(image)
+        except ValueError:
+            indices = None
+        if indices != (left, right):
+            return fail(f"image leaves {kind}[{left},{right}]")
+        if image == pair:
+            report.fixed_points += 1
+            if left != right:
+                return fail(f"off-diagonal fixed point at {left},{right}")
+            if sign != 1:
+                return fail(f"fixed point of negative sign at {left}")
+        elif image.thc.sign() != -sign:
+            return fail(f"{map_name} failed to reverse sign at {left},{right}")
+    expected = 1 if left == right else 0
+    if signed != expected:
+        report.violations.append(
+            f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}"
+        )
+    elif left == right and len(pairs) != 1:
+        report.violations.append(f"diagonal set {kind}[{left},{left}] has {len(pairs)} pairs, want 1")
+    return report

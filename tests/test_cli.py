@@ -68,6 +68,20 @@ def test_verify_involutions(capsys):
     assert out.count("PASS map=") == 4
 
 
+def test_verify_involutions_degree_six_stdout(capsys):
+    # the exact lines the involutions benchmark checks
+    code, out, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "6",
+                           "--workers", "1")
+    assert code == 0
+    assert out == (
+        "PASS map=phi pairs=7323 fixed=63\n"
+        "PASS map=chi pairs=1179 fixed=29\n"
+        "PASS map=psi pairs=7665 fixed=63\n"
+        "PASS map=rho pairs=1051 fixed=29 longest-walk=13\n"
+        "PASS involutions n<=6\n"
+    )
+
+
 def test_enumerate_compositions(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "compositions", "--n", "3")
     assert code == 0

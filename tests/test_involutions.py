@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import pairs_by_scan
+from oracles import pairs_by_scan, verify_cell_per_pair
 
 from kostka import core, involutions as inv, matrices as mx, tableaux
 from kostka.tunnelhooks import delta_choices, thc_from_perm
@@ -443,6 +443,79 @@ def test_report_records_the_offending_pair(monkeypatch):
     report = inv.verify_cell("psi", ((2,), (2,)))
     assert report.violations == ["signed sum over C[(2,),(2,)] is 0, want 1"]
     assert report.pair is None
+
+
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
+def test_orbit_visiting_matches_the_per_pair_check(map_name):
+    for cell in inv.index_cells(map_name, 5):
+        ours = inv.verify_cell(map_name, cell)
+        oracle = verify_cell_per_pair(map_name, cell)
+        assert ours.ok and oracle.ok
+        assert (ours.pairs_checked, ours.fixed_points, ours.max_walk) == (
+            oracle.pairs_checked,
+            oracle.fixed_points,
+            oracle.max_walk,
+        )
+
+
+# an orbit {p, q} of psi off the diagonal: p is the cell's first pair
+ORBIT_CELL = ((2, 1), (1, 1, 1))
+
+
+def _first_orbit(map_name, cell):
+    kind = inv._family(map_name)
+    pair = inv.enumerate_pairs(kind, *cell)[0]
+    image = inv.rho(pair)[0] if map_name == "rho" else getattr(inv, map_name)(pair)
+    assert image != pair
+    return pair, image
+
+
+def test_verify_cell_names_the_pair_of_a_broken_involution(monkeypatch):
+    # psi sends p to q, but q to q rather than back to p
+    p, q = _first_orbit("psi", ORBIT_CELL)
+    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: q if pair == q else inv.psi(pair)))
+    for report in (inv.verify_cell("psi", ORBIT_CELL), verify_cell_per_pair("psi", ORBIT_CELL)):
+        assert report.violations == [f"psi is not an involution at {ORBIT_CELL[0]},{ORBIT_CELL[1]}: {p}"]
+        assert report.pair == p
+
+
+def test_verify_cell_checks_the_partner_side_of_an_orbit(monkeypatch):
+    # rho is right everywhere but on the walk back from q, which detours
+    # through a pair of another cell: only the partner's walk is wrong
+    cell = ((3, 2), (2, 2, 1))
+    p, q = _first_orbit("rho", cell)
+    stranger = inv.enumerate_pairs("D", (3, 2), (3, 1, 1))[0]
+
+    def broken(pair):
+        if pair == q:
+            return p, inv.Trace((q, stranger, p), ("psi", "theta"))
+        return inv.rho(pair)
+
+    monkeypatch.setitem(inv._MAPS, "rho", ("D", broken))
+    for report in (inv.verify_cell("rho", cell), verify_cell_per_pair("rho", cell)):
+        assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {q}"]
+        assert report.pair == q
+
+
+def test_verify_cell_rejects_an_image_missing_from_the_set(monkeypatch):
+    # the pair set loses q, the image of p: every image still validates, so
+    # only the membership check names the pair (the per-pair check finds
+    # the signed sum off by one and names none)
+    p, q = _first_orbit("psi", ORBIT_CELL)
+    enumerate_pairs = inv.enumerate_pairs
+
+    def dropping(kind, left, right):
+        return tuple(pair for pair in enumerate_pairs(kind, left, right) if pair != q)
+
+    monkeypatch.setattr(inv, "enumerate_pairs", dropping)
+    report = inv.verify_cell("psi", ORBIT_CELL)
+    assert report.violations == [
+        f"image missing from the enumerated C[{ORBIT_CELL[0]},{ORBIT_CELL[1]}]: {p}"
+    ]
+    assert report.pair == p
+    oracle = verify_cell_per_pair("psi", ORBIT_CELL)
+    assert oracle.violations[0].startswith("signed sum over C")
+    assert oracle.pair is None
 
 
 def test_validate_trace_checks_interior_pairs_as_e_pairs():

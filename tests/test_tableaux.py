@@ -62,14 +62,25 @@ def test_enumerate_immaculate_lex_vanishing(n):
             assert count == 0
 
 
+def _contents(n, indices):
+    """The given indices, then every content of total n over the values
+    1..n+1: inner and trailing zeros, and every order of the nonzero
+    entries.  The dominance prune answers most of these cells."""
+    yield from indices
+    for content in itertools.product(range(n + 1), repeat=n + 1):
+        if sum(content) == n:
+            yield content
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumerate_immaculate_against_filter_oracle(n):
     comps = core.compositions_of(n)
-    for alpha, beta in itertools.product(comps, repeat=2):
-        ours = tableaux.enumerate_immaculate(alpha, beta)
-        brute = immaculate_by_filter(alpha, beta)
-        assert sorted(ours) == sorted(brute)
-        assert all(tableaux.is_immaculate(rows) for rows in ours)
+    for alpha in comps:
+        for content in _contents(n, comps):
+            ours = tableaux.enumerate_immaculate(alpha, content)
+            assert ours == tableaux._fill(alpha, content, strict=False)
+            assert sorted(ours) == sorted(immaculate_by_filter(alpha, content))
+            assert all(tableaux.is_immaculate(rows) for rows in ours)
 
 
 def test_enumerate_ssyt_fixtures():
@@ -83,10 +94,26 @@ def test_enumerate_ssyt_fixtures():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_enumerate_ssyt_against_filter_oracle(n):
     parts = core.partitions_of(n)
-    for lam, mu in itertools.product(parts, repeat=2):
-        ours = tableaux.enumerate_ssyt(lam, mu)
-        assert sorted(ours) == sorted(ssyt_by_filter(lam, mu))
-        assert all(tableaux.is_ssyt(rows) for rows in ours)
+    for lam in parts:
+        for content in _contents(n, parts):
+            ours = tableaux.enumerate_ssyt(lam, content)
+            assert ours == tableaux._fill(lam, content, strict=True)
+            assert sorted(ours) == sorted(ssyt_by_filter(lam, content))
+            assert all(tableaux.is_ssyt(rows) for rows in ours)
+            # the prune is exact for SSYT: a cell is empty just when it fails
+            assert bool(ours) == core.dominates(lam, core.dec(content))
+
+
+def test_dominance_prune_answers_without_backtracking(monkeypatch):
+    # each shape dominates the content as given, but not its nonzero
+    # entries (immaculate) or their sorted form (SSYT)
+    def no_backtracking(*args, **kwargs):
+        raise AssertionError("the backtracker ran on a cell dominance rules out")
+
+    tableaux.clear_caches()
+    monkeypatch.setattr(tableaux, "_fill", no_backtracking)
+    assert tableaux.enumerate_immaculate((1, 1, 2), (1, 0, 3)) == ()
+    assert tableaux.enumerate_ssyt((2, 2), (1, 3)) == ()
 
 
 def test_enumeration_order_is_reading_word_lex():
