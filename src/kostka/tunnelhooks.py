@@ -297,36 +297,66 @@ def perm_of_thc(covering: TunnelHookCovering) -> Perm:
     return tuple(diagonal(h.terminal) for h in covering.hooks())
 
 
-@lru_cache(maxsize=None)
-def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
+def delta_search(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
     """All (perm, delta) pairs of the shape with componentwise delta >= 0.
 
-    Backtracks with the bound perm_r >= r - shape_r instead of filtering all
-    of S_l; the survivors are exactly the coverings that carry a content,
-    and, for a partition shape, the permutations of its special rim hook
-    tableaux.  Ordered lexicographically by permutation.
+    Backtracks with the bound perm_r >= L_r = max(1, r - shape_r) instead of
+    filtering all of S_l; the survivors are exactly the coverings that carry
+    a content, and, for a partition shape, the permutations of its special
+    rim hook tableaux.  Ordered lexicographically by permutation.
+
+    Dead branches are cut: once perm_1..perm_r are placed, let s be the
+    smallest value not yet used.  Every later row r' takes a value of at
+    least L_{r'}, so when s is below the least L of the rows after r, no row
+    can ever take s and the subtree holds no permutation.  The cut is exact:
+    it drops only empty subtrees, so the output and its order are those of
+    the uncut search.  A larger perm_r leaves s where it is, so the first
+    dead candidate for row r ends the loop over them.  Not cached; see
+    :func:`delta_choices`.
     """
     ell = len(shape)
+    low = [0] + [max(1, r - shape[r - 1]) for r in range(1, ell + 1)]  # low[r] = L_r
+    # after_min[r]: the least L_{r'} over r' > r; ell + 1 past the last row
+    after_min = [ell + 1] * (ell + 1)
+    for r in range(ell - 1, 0, -1):
+        after_min[r] = min(low[r + 1], after_min[r + 1])
     out: list[tuple[Perm, IntSeq]] = []
-    used = [False] * (ell + 1)
+    used = [False] * (ell + 2)  # used[ell + 1] stays False: it ends the scan below
     sigma: list[int] = []
 
-    def dfs(r: int) -> None:
+    def dfs(r: int, smallest: int) -> None:
         if r > ell:
             perm = tuple(sigma)
             out.append((perm, tuple(shape[i] + perm[i] - (i + 1) for i in range(ell))))
             return
-        for v in range(max(1, r - shape[r - 1]), ell + 1):
+        for v in range(low[r], ell + 1):
             if used[v]:
                 continue
             used[v] = True
+            s = smallest
+            while used[s]:
+                s += 1
+            if s < after_min[r]:
+                used[v] = False
+                break
             sigma.append(v)
-            dfs(r + 1)
+            dfs(r + 1, s)
             sigma.pop()
             used[v] = False
 
-    dfs(1)
+    dfs(1, 1)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
+    """All (perm, delta) pairs of the shape with delta >= 0, in
+    lexicographic order: :func:`delta_search`, whose cut skips only subtrees
+    that hold no permutation, cached for the callers that revisit a shape
+    (the C/D/E pair sets, rim hook listings, content filters).  The cache
+    is process-wide and unbounded; a caller that visits each shape once
+    calls :func:`delta_search` instead."""
+    return delta_search(shape)
 
 
 def enumerate_thc(

@@ -6,7 +6,8 @@ permutation signs by bubble sorting, rim hook tableaux by raw path search
 over cell sets, tableau counts by filtering all multiset arrangements,
 C/D/E pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
-and the exhaustive involution check by applying the map twice to every pair.
+matrix products by the full triple loop, and the exhaustive involution check
+by applying the map twice to every pair.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from kostka import core, involutions as inv
 from kostka.involutions import Pair
-from kostka.matrices import _signed_counts, jacobi_trudi_terms
+from kostka.matrices import TransitionMatrix, _signed_counts, jacobi_trudi_terms
 from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
 from kostka.tunnelhooks import TunnelHookCovering, delta_choices
 
@@ -142,6 +143,28 @@ def fraction_inverse(entries):
                 factor = m[r][k]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def mat_mul_dense(a, b):
+    """a * b by the triple loop over every column of b: the dense product
+    the library's sparse ``mat_mul`` replaced."""
+    if a.degree != b.degree or a.index_kind != b.index_kind:
+        raise ValueError("matrices are indexed by different sets")
+    size = a.size
+    b_rows = b.entries
+    product = []
+    for i in range(size):
+        a_row = a.entries[i]
+        acc = [0] * size
+        for k in range(size):
+            coeff = a_row[k]
+            if coeff == 0:
+                continue
+            b_row = b_rows[k]
+            for j in range(size):
+                acc[j] += coeff * b_row[j]
+        product.append(tuple(acc))
+    return TransitionMatrix(a.degree, a.index_kind, a.labels, tuple(product))
 
 
 def pairs_by_scan(kind, left, right):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kostka import cli, involutions as inv, serialize as sz
+from kostka import cli, involutions as inv, matrices as mx, serialize as sz
 from kostka.tunnelhooks import thc_from_perm
 
 
@@ -344,6 +344,40 @@ def test_verify_workers_byte_identical(capsys, identity, n):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edits, records", [
+    # one wrong entry of NK^-1(3), at row (1,2) and column (2,1): it breaks
+    # column (2,1) of NK * NK^-1 and row (1,2) of NK^-1 * NK
+    ([(2, 1, 1)], {
+        "nk-nkinv": {"col": [2, 1], "degree": 3, "row": [3], "value": 1},
+        "nkinv-nk": {"col": [2, 1], "degree": 3, "row": [1, 2], "value": 1},
+    }),
+    # NK * NK^-1 goes wrong at ((2,1), (2,1)) and along column (1,1,1) from
+    # row (3): the first bad entry in row-major order is the latter
+    ([(0, 1, -1), (1, 1, 1), (3, 3, 1)], {
+        "nk-nkinv": {"col": [1, 1, 1], "degree": 3, "row": [3], "value": 1},
+        "nkinv-nk": {"col": [2, 1], "degree": 3, "row": [3], "value": -1},
+    }),
+])
+def test_verify_reports_broken_identity(capsys, monkeypatch, edits, records):
+    real = mx.nsym_Kinv
+
+    def broken(n):
+        matrix = real(n)
+        if n != 3:
+            return matrix
+        entries = [list(row) for row in matrix.entries]
+        for i, j, change in edits:
+            entries[i][j] += change
+        return mx.TransitionMatrix(n, matrix.index_kind, matrix.labels,
+                                   tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(mx, "nsym_Kinv", broken)
+    for identity, record in records.items():
+        code, out, _ = run_cli(capsys, "verify", "--identity", identity, "--n", "4")
+        assert code == 1
+        assert out == json.dumps({**record, "identity": identity}, sort_keys=True) + "\n"
 
 
 def test_verify_reports_broken_map(tmp_path, capsys, monkeypatch):

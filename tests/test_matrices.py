@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kostka import core, matrices as mx, tableaux
-from oracles import fraction_inverse, sym_Kinv_by_terms
+from oracles import fraction_inverse, mat_mul_dense, sym_Kinv_by_terms
 
 
 def test_nsym_k_degree_two():
@@ -122,6 +122,49 @@ def test_sym_identities_frontier():
         k, kinv = mx.sym_K(m), mx.sym_Kinv(m)
         assert mx.is_identity(mx.mat_mul(k, kinv)), m
         assert mx.is_identity(mx.mat_mul(kinv, k)), m
+
+
+def test_nsym_identities_frontier():
+    k, kinv = mx.nsym_K(9), mx.nsym_Kinv(9)
+    assert mx.is_identity(mx.mat_mul(k, kinv))
+    assert mx.is_identity(mx.mat_mul(kinv, k))
+
+
+def _random_matrix(rng, size, kind="compositions"):
+    """Small signed entries, mostly zero, with one zero row and one zero
+    column forced in when there is room."""
+    entries = [
+        [rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(size)] for _ in range(size)
+    ]
+    if size > 1:
+        entries[rng.randrange(size)] = [0] * size
+        zero_col = rng.randrange(size)
+        for row in entries:
+            row[zero_col] = 0
+    labels = tuple((i + 1,) for i in range(size))
+    return mx.TransitionMatrix(0, kind, labels, tuple(map(tuple, entries)))
+
+
+def test_mat_mul_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(20251018)
+    for size in range(1, 13):
+        for _ in range(5):
+            a, b = _random_matrix(rng, size), _random_matrix(rng, size)
+            assert mx.mat_mul(a, b) == mat_mul_dense(a, b), size
+            assert mx.mat_mul(b, a) == mat_mul_dense(b, a), size
+    a = _random_matrix(rng, 3)
+    with pytest.raises(ValueError):
+        mx.mat_mul(a, _random_matrix(rng, 3, kind="partitions"))
+    with pytest.raises(ValueError):
+        mx.mat_mul(a, mx.TransitionMatrix(1, a.index_kind, a.labels, a.entries))
+
+
+def test_mat_mul_matches_dense_oracle_on_kostka_matrices():
+    pairs = [(mx.nsym_K(n), mx.nsym_Kinv(n)) for n in range(1, 8)]
+    pairs += [(mx.sym_K(n), mx.sym_Kinv(n)) for n in range(1, 11)]
+    for k, kinv in pairs:
+        assert mx.mat_mul(k, kinv) == mat_mul_dense(k, kinv), k.degree
+        assert mx.mat_mul(kinv, k) == mat_mul_dense(kinv, k), k.degree
 
 
 def test_mat_mul_identity_neutral():

@@ -218,6 +218,23 @@ def test_enumerate_thc_dominance_vanishing(n):
         assert len(found) == expected
 
 
+def test_delta_choices_against_filter_oracle():
+    """The cut search lists exactly the permutations of S_l with delta >= 0,
+    in lexicographic order, on every composition of n <= 7 and every
+    partition of 8."""
+    shapes = [shape for n in range(1, 8) for shape in core.compositions_of(n)]
+    shapes += core.partitions_of(8)
+    for shape in shapes:
+        ell = len(shape)
+        expected = []
+        for perm in itertools.permutations(range(1, ell + 1)):
+            delta = tuple(shape[i] + perm[i] - (i + 1) for i in range(ell))
+            if min(delta) >= 0:
+                expected.append((perm, delta))
+        assert th.delta_search(shape) == tuple(expected), shape
+        assert th.delta_choices(shape) == tuple(expected), shape
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_lehmer_height_property(n):
     # the code entry of the permutation is the number of rows the hook spans
