@@ -23,10 +23,11 @@ reduce to Kronecker deltas: that is the matrix-identity machinery.
 ``rho`` composes the last two along alternating paths.  All maps are pure;
 selection helpers are exposed separately so tests can pin the choices.
 
-``enumerate_pairs`` lists A/B pairs from the coverings of one shape.  For
-C/D/E it reads a per-degree covering index, built in one pass over every
-shape of the degree and bucketed by left index, so each cell reads only
-its own coverings.  The index holds one (family, degree) at a time.
+``enumerate_pairs`` reads a per-degree index, the one memo of the
+enumeration path: the coverings of every shape of the degree, found in one
+pass and bucketed by the index they give (the shape for A/B, the left index
+for C/D/E), and the tableau fillings of each (shape, content) read so far.
+The index holds one (family, degree) at a time.
 ``verify_cell`` checks a map exhaustively on one cell, closure included.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
@@ -46,6 +47,7 @@ from .core import (
     delete_fixed_point,
     embed,
     flatten,
+    is_composition,
     is_partition,
     partitions_of,
     perm_inverse,
@@ -154,51 +156,72 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
 
 
 @lru_cache(maxsize=1)
-def _coverings(kind: str, n: int) -> dict[IntSeq, tuple[TunnelHookCovering, ...]]:
-    """The degree-n coverings of C/D/E pairs, bucketed by the left index
-    they give (``flatten(delta)`` for C, its ``dec`` for D/E), each bucket
-    in label order of shape (partitions for D, compositions for C/E), then
-    in ``delta_choices`` order.  One (family, degree) is held at a time:
-    the verifier asks for cells degree by degree and map by map."""
-    shapes = partitions_of(n) if kind == "D" else compositions_of(n)
-    buckets: dict[IntSeq, list[TunnelHookCovering]] = {}
+def _index(
+    kind: str, n: int
+) -> tuple[dict[IntSeq, tuple], dict[tuple[IntSeq, IntSeq], tuple[Rows, ...]]]:
+    """The memo of :func:`enumerate_pairs` for one (family, degree): the
+    degree-n coverings bucketed by index, and a dict of tableau fillings
+    keyed by (shape, content) that ``enumerate_pairs`` fills as it reads.
+
+    A/B buckets are keyed by the covering shape (the right index) and hold
+    (covering, content) pairs, the content being the weights, for B read
+    through the permutation's inverse.  C/D/E buckets are keyed by the left
+    index (``flatten(delta)`` for C, its ``dec`` for D/E) and hold
+    coverings.  Shapes (partitions for B/D, else compositions) come in
+    label order, then in ``delta_choices`` order.  One (family, degree) is
+    held at a time: the verifier asks for cells degree by degree and map
+    by map, so memory does not grow with the degrees visited."""
+    shapes = partitions_of(n) if kind in ("B", "D") else compositions_of(n)
+    buckets: dict[IntSeq, list] = {}
     for shape in shapes:
         for perm, delta in delta_choices(shape):
-            weight = flatten(delta)
-            key = weight if kind == "C" else dec(weight)
-            buckets.setdefault(key, []).append(TunnelHookCovering(shape, perm))
-    return {key: tuple(bucket) for key, bucket in buckets.items()}
+            covering = TunnelHookCovering(shape, perm)
+            if kind in ("A", "B"):
+                content = delta if kind == "A" else tuple(delta[j - 1] for j in perm_inverse(perm))
+                buckets.setdefault(shape, []).append((covering, content))
+            else:
+                weight = flatten(delta)
+                buckets.setdefault(weight if kind == "C" else dec(weight), []).append(covering)
+    return {key: tuple(bucket) for key, bucket in buckets.items()}, {}
 
 
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
-    """The complete pair set of the given family and index pair.  For C/D/E
-    it fills the shape of each covering the per-degree index
-    :func:`_coverings` files under ``left``, with content ``right``."""
+    """The complete pair set of the given family and index pair, read from
+    the per-degree index :func:`_index`.  A/B fill the shape ``left`` with
+    the content of each covering of shape ``right``; C/D/E fill the shape of
+    each covering filed under ``left`` with the content ``right``.
+
+    Raises ValueError on an index the family cannot have: not a composition,
+    of another degree, or not a partition where the family sorts it (both
+    indices of B, the left index of D/E)."""
     left = tuple(left)
     right = tuple(right)
-    n = sum(left)
-    if sum(right) != n:
-        raise ValueError("indices must have equal degree")
-    out: list[Pair] = []
-    if kind == "A":
-        for perm, delta in delta_choices(right):
-            covering = TunnelHookCovering(right, perm)
-            for rows in enumerate_immaculate(left, delta):
-                out.append(Pair("A", covering, rows))
-    elif kind == "B":
-        for perm, delta in delta_choices(right):
-            inv = perm_inverse(perm)
-            reordered = tuple(delta[inv[i] - 1] for i in range(len(right)))
-            covering = TunnelHookCovering(right, perm)
-            for rows in enumerate_ssyt(left, reordered):
-                out.append(Pair("B", covering, rows))
-    elif kind in ("C", "D", "E"):
-        fill = enumerate_ssyt if kind == "D" else enumerate_immaculate
-        for covering in _coverings(kind, n).get(left, ()):
-            for rows in fill(covering.shape, right):
-                out.append(Pair(kind, covering, rows))
-    else:
+    if kind not in ("A", "B", "C", "D", "E"):
         raise ValueError(f"unknown pair family {kind!r}")
+    if not (is_composition(left) and is_composition(right)):
+        raise ValueError(f"indices {left}, {right} must be compositions")
+    if sum(right) != sum(left):
+        raise ValueError("indices must have equal degree")
+    if kind == "B" and not (is_partition(left) and is_partition(right)):
+        raise ValueError(f"B indices must be partitions, got {left}, {right}")
+    if kind in ("D", "E") and not is_partition(left):
+        raise ValueError(f"the left index of {kind} must be a partition, got {left}")
+    buckets, fillings = _index(kind, sum(left))
+    fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
+
+    def filled(shape: IntSeq, content: IntSeq) -> tuple[Rows, ...]:
+        rows = fillings.get((shape, content))
+        if rows is None:
+            rows = fillings[shape, content] = fill(shape, content)
+        return rows
+
+    out: list[Pair] = []
+    if kind in ("A", "B"):
+        for covering, content in buckets.get(right, ()):
+            out.extend(Pair(kind, covering, rows) for rows in filled(left, content))
+    else:
+        for covering in buckets.get(left, ()):
+            out.extend(Pair(kind, covering, rows) for rows in filled(covering.shape, right))
     return tuple(out)
 
 

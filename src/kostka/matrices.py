@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
 from .rimhooks import enumerate_srht, srht_content, srht_sign
-from .tunnelhooks import delta_choices, delta_search
+from .tunnelhooks import delta_choices
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,11 @@ def nsym_K(n: int) -> TransitionMatrix:
 
 def nsym_Kinv(n: int) -> TransitionMatrix:
     """Entry (alpha, beta): signed count of hook coverings of shape beta with
-    content alpha.  Each shape is searched once, so the search bypasses the
-    process-wide :func:`delta_choices` cache."""
+    content alpha, one :func:`delta_choices` search per shape."""
     return _signed_counts(
         n,
         "compositions",
-        lambda beta: ((perm_sign(perm), flatten(delta)) for perm, delta in delta_search(beta)),
+        lambda beta: ((perm_sign(perm), flatten(delta)) for perm, delta in delta_choices(beta)),
     )
 
 

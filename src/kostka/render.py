@@ -13,7 +13,7 @@ from typing import Sequence
 from .involutions import Pair, Trace
 from .rimhooks import SpecialRimHookTableau
 from .tableaux import Rows
-from .tunnelhooks import GBPRDiagram, TunnelHookCovering
+from .tunnelhooks import TunnelHookCovering
 
 Cell = tuple[int, int]
 
@@ -29,17 +29,6 @@ def render_diagram(shape: Sequence[int]) -> str:
 def render_tableau(rows: Rows) -> str:
     width = max((len(str(v)) for row in rows for v in row), default=1)
     return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
-
-
-def render_gbpr(diagram: GBPRDiagram) -> str:
-    """Color letters per cell, out to one purple column past every span."""
-    extent = 1
-    for i in range(1, len(diagram) + 1):
-        extent = max(extent, max(diagram.row_spans(i)) + 1)
-    return "\n".join(
-        "".join(diagram.color(i, j) for j in range(1, extent + 1))
-        for i in range(1, len(diagram) + 1)
-    )
 
 
 def _hook_labels(covering: TunnelHookCovering) -> dict[Cell, int]:

@@ -7,15 +7,14 @@ strictly increasing columns.
 
 One row-by-row backtracker in reading order serves both kinds, so results
 come out in lexicographic order by reading word and the output order is
-stable.  The enumerators are cached: the involution suites hit the same
-(shape, content) cells over and over.  The Kostka matrices do not list
-tableaux (they count them in ``matrices``); the enumerators stay their
-independent oracle.
+stable.  The enumerators are plain functions: the involution verifier keeps
+the fillings it re-reads in its per-degree index (``involutions._index``).
+The Kostka matrices do not list tableaux (they count them in
+``matrices``); the enumerators stay their independent oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .core import dec, dominates, is_composition, is_partition
@@ -52,7 +51,6 @@ def is_ssyt(rows: Rows) -> bool:
     return all(a < b for above, row in zip(rows, rows[1:]) for a, b in zip(above, row))
 
 
-@lru_cache(maxsize=None)
 def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Rows, ...]:
     """All immaculate tableaux of the given shape and exact content vector.
 
@@ -69,7 +67,6 @@ def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tu
     return _fill(shape, content, strict=False)
 
 
-@lru_cache(maxsize=None)
 def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Rows, ...]:
     """All semistandard Young tableaux of the given partition shape and content.
 
@@ -189,9 +186,3 @@ def bad_cells(rows: Rows) -> list[tuple[int, int]]:
                 out.append((i, j))
     out.sort(key=lambda cell: (cell[1], cell[0]))
     return out
-
-
-def clear_caches() -> None:
-    """Drop the memoized enumerations (useful between large verification runs)."""
-    enumerate_immaculate.cache_clear()
-    enumerate_ssyt.cache_clear()

@@ -10,7 +10,11 @@ the diagonal sigma(r), and the sign of the covering is the sign of sigma.
 The canonical representation of a covering is the (shape, permutation) pair;
 the colored-diagram geometry is replayed on demand.  Replaying keeps the
 expensive part out of enumeration loops while still exercising the full
-construction for validation and rendering.
+construction for validation and rendering.  :func:`replay_hooks` caches
+the replays, as the bijection checks replay a covering more than once; it
+is the module's only cache.  :func:`delta_choices`, the one permutation
+search behind coverings, rim hooks and content filters, is a plain
+function.
 
 Cells are 1-based (row, column) pairs; the diagonal of a cell (r, c) is
 r - c + 1.  Column 0 acts as an implicit grey wall, so the leftmost non-grey
@@ -97,14 +101,6 @@ class GBPRDiagram:
 def gbpr(a: Sequence[int], nu: Sequence[int]) -> GBPRDiagram:
     """Colored diagram of shape ``a`` over grey profile ``nu``."""
     return GBPRDiagram(tuple(a), tuple(nu))
-
-
-def partial_gbpr(a: Sequence[int], nu: Sequence[int], r: int) -> GBPRDiagram:
-    """The diagram restricted to rows r.., kept in place (top rows empty)."""
-    if not 1 <= r <= len(a) + 1:
-        raise ValueError(f"row {r} out of range")
-    blank = (0,) * (r - 1)
-    return GBPRDiagram(blank + tuple(a[r - 1 :]), blank + tuple(nu[r - 1 :]))
 
 
 def boundary_cells(diagram: GBPRDiagram, i: int) -> list[Cell]:
@@ -297,7 +293,7 @@ def perm_of_thc(covering: TunnelHookCovering) -> Perm:
     return tuple(diagonal(h.terminal) for h in covering.hooks())
 
 
-def delta_search(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
+def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
     """All (perm, delta) pairs of the shape with componentwise delta >= 0.
 
     Backtracks with the bound perm_r >= L_r = max(1, r - shape_r) instead of
@@ -311,8 +307,10 @@ def delta_search(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
     can ever take s and the subtree holds no permutation.  The cut is exact:
     it drops only empty subtrees, so the output and its order are those of
     the uncut search.  A larger perm_r leaves s where it is, so the first
-    dead candidate for row r ends the loop over them.  Not cached; see
-    :func:`delta_choices`.
+    dead candidate for row r ends the loop over them.  Not cached: the
+    involution verifier keeps the coverings of the degree it checks in its
+    index (``involutions._index``), and the other callers (the NSym inverse,
+    rim hook listings, content filters) pay one search per call.
     """
     ell = len(shape)
     low = [0] + [max(1, r - shape[r - 1]) for r in range(1, ell + 1)]  # low[r] = L_r
@@ -346,17 +344,6 @@ def delta_search(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
 
     dfs(1, 1)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
-    """All (perm, delta) pairs of the shape with delta >= 0, in
-    lexicographic order: :func:`delta_search`, whose cut skips only subtrees
-    that hold no permutation, cached for the callers that revisit a shape
-    (the C/D/E pair sets, rim hook listings, content filters).  The cache
-    is process-wide and unbounded; a caller that visits each shape once
-    calls :func:`delta_search` instead."""
-    return delta_search(shape)
 
 
 def enumerate_thc(

@@ -12,6 +12,7 @@ by applying the map twice to every pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -167,6 +168,12 @@ def mat_mul_dense(a, b):
     return TransitionMatrix(a.degree, a.index_kind, a.labels, tuple(product))
 
 
+# the scan's own memo: a test scans every cell of a degree
+_scan_choices = functools.cache(delta_choices)
+_scan_immaculate = functools.cache(enumerate_immaculate)
+_scan_ssyt = functools.cache(enumerate_ssyt)
+
+
 def pairs_by_scan(kind, left, right):
     """The C/D/E pair set of one index pair by scanning every shape of the
     degree and keeping the coverings whose content gives ``left``: the
@@ -174,10 +181,10 @@ def pairs_by_scan(kind, left, right):
     left, right = tuple(left), tuple(right)
     n = sum(left)
     shapes = core.partitions_of(n) if kind == "D" else core.compositions_of(n)
-    fill = enumerate_ssyt if kind == "D" else enumerate_immaculate
+    fill = _scan_ssyt if kind == "D" else _scan_immaculate
     out = []
     for shape in shapes:
-        for perm, delta in delta_choices(shape):
+        for perm, delta in _scan_choices(shape):
             weight = core.flatten(delta)
             if (weight if kind == "C" else core.dec(weight)) != left:
                 continue

@@ -283,7 +283,6 @@ def test_rho_on_random_pairs_at_degrees_9_and_10(data):
     assert len(set(trace.pairs)) == len(trace.pairs)
     for step in trace.pairs:
         assert inv.pair_indices(step) == (lam, mu)
-    tableaux.clear_caches()
 
 
 # one Kostka matrix per degree names the nonzero cells to draw from
@@ -333,7 +332,6 @@ def test_maps_on_random_pairs_at_degrees_9_and_10(map_name, data):
     else:
         assert left != right and image.thc.sign() == -pair.thc.sign()
     assert inv.validate_pair(image) == (left, right)
-    tableaux.clear_caches()
 
 
 def test_rho_fixes_diagonal():
@@ -372,7 +370,29 @@ def test_pair_sets_match_the_per_cell_scan(kind):
 def test_covering_index_holds_one_degree():
     inv.verify_involution("psi", 5)
     inv.verify_involution("rho", 5)
-    assert inv._coverings.cache_info().currsize <= 1
+    assert inv._index.cache_info().currsize <= 1
+    # the fillings memo is scoped with the coverings: after a degree-5 run
+    # and a degree-4 one, every memo key has total 4
+    inv.verify_involution("phi", 5)
+    inv.verify_involution("psi", 4)
+    assert inv._index.cache_info().currsize == 1
+    _, fillings = inv._index("C", 4)
+    assert fillings
+    assert {(sum(shape), sum(content)) for shape, content in fillings} == {(4, 4)}
+
+
+@pytest.mark.parametrize(
+    "kind, left, right",
+    [
+        ("B", (2, 1), (1, 2)),  # a covering shape that is not a partition
+        ("C", (2, 0, 1), (2, 1)),  # an index that is not a composition
+        ("D", (1, 2), (2, 1)),  # a left index no sorted content can be
+        ("A", (2, 1), (2, 0, 1)),  # a covering shape that is not a composition
+    ],
+)
+def test_enumerate_pairs_rejects_an_index_the_family_cannot_have(kind, left, right):
+    with pytest.raises(ValueError):
+        inv.enumerate_pairs(kind, left, right)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -33,7 +33,6 @@ def test_nsym_k_rows_count_immaculate_tableaux(n):
     for alpha, row in zip(k.labels, k.entries):
         expected = tuple(len(tableaux.enumerate_immaculate(alpha, beta)) for beta in k.labels)
         assert row == expected, alpha
-    tableaux.clear_caches()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -43,7 +42,6 @@ def test_sym_k_counts_ssyt(n):
         tuple(len(tableaux.enumerate_ssyt(lam, mu)) for mu in labels) for lam in labels
     )
     assert mx.sym_K(n).entries == expected
-    tableaux.clear_caches()
 
 
 # one matrix per degree serves every example drawn from it
@@ -63,7 +61,6 @@ def test_kostka_counts_at_degrees_9_and_10(data):
     partitions = core.partitions_of(n)
     lam, mu = data.draw(st.tuples(st.sampled_from(partitions), st.sampled_from(partitions)))
     assert _sym_K(n).entry(lam, mu) == len(tableaux.enumerate_ssyt(lam, mu))
-    tableaux.clear_caches()
 
 
 def test_sym_k_fixtures():

@@ -1,16 +1,6 @@
 from kostka import render as rd
 from kostka.rimhooks import srht_from_perm
-from kostka.tunnelhooks import gbpr, thc_from_perm
-
-
-def test_render_gbpr_letters():
-    # grey prefix, then blue or red, purple beyond
-    diagram = gbpr((3, 1, 2), (1, 2, 2))
-    lines = rd.render_gbpr(diagram).splitlines()
-    assert lines[0].startswith("GBB")
-    assert lines[1].startswith("GGR")
-    assert lines[2].startswith("GGP")
-    assert all(set(line) <= set("GBRP") for line in lines)
+from kostka.tunnelhooks import thc_from_perm
 
 
 def test_render_tableau_alignment():

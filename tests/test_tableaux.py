@@ -110,7 +110,6 @@ def test_dominance_prune_answers_without_backtracking(monkeypatch):
     def no_backtracking(*args, **kwargs):
         raise AssertionError("the backtracker ran on a cell dominance rules out")
 
-    tableaux.clear_caches()
     monkeypatch.setattr(tableaux, "_fill", no_backtracking)
     assert tableaux.enumerate_immaculate((1, 1, 2), (1, 0, 3)) == ()
     assert tableaux.enumerate_ssyt((2, 2), (1, 3)) == ()
