@@ -27,8 +27,11 @@ selection helpers are exposed separately so tests can pin the choices.
 enumeration path: the coverings of every shape of the degree, found in one
 pass and bucketed by the index they give (the shape for A/B, the left index
 for C/D/E), and the tableau fillings of each (shape, content) read so far.
-The index holds one (family, degree) at a time.
-``verify_cell`` checks a map exhaustively on one cell, closure included.
+The index holds one (family, degree) at a time, and a filling enters it
+only after passing ``validate_pair``.
+``verify_cell`` checks a map exhaustively on one cell.  Closure is
+membership: an image must be one of the cell's enumerated pairs, and each
+walk of ``rho``, whose interior lies in E, must pass ``validate_trace``.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
@@ -155,6 +158,16 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     return indices.pop()
 
 
+def _misplaced(check: Callable, subject: Pair | Trace, cell: tuple[IntSeq, IntSeq]) -> str | None:
+    """Why ``check(subject)`` (``validate_pair`` of a pair, ``validate_trace``
+    of a trace) does not give the cell's indices; None when it does."""
+    try:
+        indices = check(subject)
+    except ValueError as err:
+        return str(err)
+    return None if indices == cell else f"its indices are {indices}"
+
+
 @lru_cache(maxsize=1)
 def _index(
     kind: str, n: int
@@ -193,7 +206,11 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
 
     Raises ValueError on an index the family cannot have: not a composition,
     of another degree, or not a partition where the family sorts it (both
-    indices of B, the left index of D/E)."""
+    indices of B, the left index of D/E).  A filling enters the memo once
+    :func:`validate_pair` puts it in this cell with the covering that asked
+    for it; as the index files each covering by its weights, the check holds
+    for every covering that reads it later.  A filling that fails raises
+    RuntimeError, as a fault of the enumerator."""
     left = tuple(left)
     right = tuple(right)
     if kind not in ("A", "B", "C", "D", "E"):
@@ -209,19 +226,25 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
     buckets, fillings = _index(kind, sum(left))
     fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
 
-    def filled(shape: IntSeq, content: IntSeq) -> tuple[Rows, ...]:
+    def filled(covering: TunnelHookCovering, shape: IntSeq, content: IntSeq) -> tuple[Rows, ...]:
         rows = fillings.get((shape, content))
         if rows is None:
-            rows = fillings[shape, content] = fill(shape, content)
+            rows = fill(shape, content)
+            for filling in rows:
+                why = _misplaced(validate_pair, Pair(kind, covering, filling), (left, right))
+                if why is not None:
+                    raise RuntimeError(f"{fill.__name__}{(shape, content)} gave {filling}, "
+                                       f"outside {kind}[{left},{right}]: {why}")
+            fillings[shape, content] = rows
         return rows
 
     out: list[Pair] = []
     if kind in ("A", "B"):
         for covering, content in buckets.get(right, ()):
-            out.extend(Pair(kind, covering, rows) for rows in filled(left, content))
+            out.extend(Pair(kind, covering, t) for t in filled(covering, left, content))
     else:
         for covering in buckets.get(left, ()):
-            out.extend(Pair(kind, covering, rows) for rows in filled(covering.shape, right))
+            out.extend(Pair(kind, covering, t) for t in filled(covering, covering.shape, right))
     return tuple(out)
 
 
@@ -491,12 +514,15 @@ def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
 def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     """Exhaustively check one map on the pair set of one index pair.
 
-    Checks: the map is an involution, keeps the set closed (the image, and
-    for ``rho`` every pair of its walk, see :func:`validate_trace`, has the
-    same family and indices, and the image is one of the enumerated pairs),
-    reverses the covering's sign off its fixed points, fixes exactly the
-    diagonal pairs (which carry sign +1 and are unique), and that the signed
-    pair count is the Kronecker delta.
+    Checks: the map is an involution, keeps the set closed, reverses the
+    covering's sign off its fixed points, fixes exactly the diagonal pairs
+    (which carry sign +1 and are unique), and that the signed pair count is
+    the Kronecker delta.  Closure is membership: each image must be one of
+    the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
+    as they entered its memo, and for ``rho`` both walks of an orbit must
+    pass :func:`validate_trace`, as their interior lies in E.  An image
+    outside the set is reported as leaving it when it fails
+    :func:`validate_pair` or has other indices, else as missing from it.
 
     The pairs are visited one orbit at a time: a pair p not yet met gives
     q = map(p) and map(q), which must be p, so one visit checks both pairs
@@ -531,13 +557,6 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
             return image, trace
         return apply(pair), None
 
-    def leaves(image: Pair, trace: Trace | None) -> bool:
-        try:
-            indices = validate_pair(image) if trace is None else validate_trace(trace)
-        except ValueError:
-            return True
-        return indices != (left, right)
-
     for pair in pairs:
         report.pairs_checked += 1
         sign = pair.thc.sign()
@@ -548,12 +567,14 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
         back, back_trace = walk(image)
         if back != pair:
             return fail(f"{map_name} is not an involution at {left},{right}", pair)
-        if leaves(image, trace):
-            return fail(f"image leaves {kind}[{left},{right}]", pair)
-        if image != pair and leaves(back, back_trace):
-            return fail(f"image leaves {kind}[{left},{right}]", image)
+        if trace is not None:  # the walks of rho pass through E, outside the set
+            for start, walked in ((pair, trace), (image, back_trace)):
+                if _misplaced(validate_trace, walked, (left, right)) is not None:
+                    return fail(f"image leaves {kind}[{left},{right}]", start)
         if image not in members:
-            return fail(f"image missing from the enumerated {kind}[{left},{right}]", pair)
+            outside = _misplaced(validate_pair, image, (left, right)) is not None
+            where = "leaves" if outside else "missing from the enumerated"
+            return fail(f"image {where} {kind}[{left},{right}]", pair)
         if image == pair:
             report.fixed_points += 1
             if left != right:

@@ -10,11 +10,10 @@ the diagonal sigma(r), and the sign of the covering is the sign of sigma.
 The canonical representation of a covering is the (shape, permutation) pair;
 the colored-diagram geometry is replayed on demand.  Replaying keeps the
 expensive part out of enumeration loops while still exercising the full
-construction for validation and rendering.  :func:`replay_hooks` caches
-the replays, as the bijection checks replay a covering more than once; it
-is the module's only cache.  :func:`delta_choices`, the one permutation
-search behind coverings, rim hooks and content filters, is a plain
-function.
+construction for validation and rendering.  The module caches nothing:
+:func:`replay_hooks` replays on every call, and :func:`delta_choices`, the
+one permutation search behind coverings, rim hooks and content filters, is
+a plain function.
 
 Cells are 1-based (row, column) pairs; the diagonal of a cell (r, c) is
 r - c + 1.  Column 0 acts as an implicit grey wall, so the leftmost non-grey
@@ -24,7 +23,6 @@ cell of every row is a legal terminal cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -221,7 +219,6 @@ def thc_from_perm(shape: Sequence[int], perm: Sequence[int]) -> TunnelHookCoveri
     return TunnelHookCovering(tuple(shape), tuple(perm))
 
 
-@lru_cache(maxsize=None)
 def replay_hooks(shape: IntSeq, perm: Perm) -> tuple[TunnelHook, ...]:
     """Run the stage-wise construction, hook by hook, for (shape, perm).
 

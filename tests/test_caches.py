@@ -1,14 +1,14 @@
-"""Memoization in the package lives in two places: the verifier's
-per-degree index (``involutions._index``, bounded to one family and degree)
-and the hook replay (``tunnelhooks.replay_hooks``).  A cache anywhere else
-fails here, so the decision stays in one module."""
+"""Memoization in the package lives in one place: the verifier's
+per-degree index (``involutions._index``, bounded to one family and
+degree).  A cache anywhere else fails here, so the decision stays in one
+module."""
 
 import ast
 from pathlib import Path
 
 import kostka
 
-ALLOWED = {("involutions", "_index"), ("tunnelhooks", "replay_hooks")}
+ALLOWED = {("involutions", "_index")}
 CACHE_NAMES = {"cache", "lru_cache", "cached_property"}
 
 
@@ -44,7 +44,7 @@ def _caches():
     return found
 
 
-def test_caches_sit_only_on_the_index_and_the_hook_replay():
+def test_caches_sit_only_on_the_index():
     found = _caches()
     assert set(found) <= ALLOWED, sorted(set(found) - ALLOWED)
     # the index is the verifier's memo, and it holds one (family, degree)

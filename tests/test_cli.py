@@ -68,10 +68,12 @@ def test_verify_involutions(capsys):
     assert out.count("PASS map=") == 4
 
 
-def test_verify_involutions_degree_six_stdout(capsys):
-    # the exact lines the involutions benchmark checks
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_involutions_degree_six_stdout(capsys, workers):
+    # the exact lines the involutions benchmark checks; with two workers the
+    # fillings are checked as they enter the memo of each pool process
     code, out, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "6",
-                           "--workers", "1")
+                           "--workers", workers)
     assert code == 0
     assert out == (
         "PASS map=phi pairs=7323 fixed=63\n"

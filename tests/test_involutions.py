@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 
 import pytest
 from hypothesis import given, seed, settings
@@ -536,6 +537,72 @@ def test_verify_cell_rejects_an_image_missing_from_the_set(monkeypatch):
     oracle = verify_cell_per_pair("psi", ORBIT_CELL)
     assert oracle.violations[0].startswith("signed sum over C")
     assert oracle.pair is None
+
+
+@pytest.mark.parametrize(
+    "cell, key, bad",
+    [
+        # a 3 replaces a 2 in the first filling of shape (2,1), content (1,2)
+        (((2, 1), (1, 2)), ((2, 1), (1, 2)), ((1, 2), (3,))),
+        # the filling (1,1,2) of shape (3), content (2,1) gets its row reversed
+        (((3,), (1, 2)), ((3,), (2, 1)), ((2, 1, 1),)),
+    ],
+)
+def test_a_faulty_filling_is_caught_as_it_enters_the_memo(monkeypatch, cell, key, bad):
+    # membership alone cannot see a bad pair the enumeration itself made:
+    # the filling check must name it, as a fault of the program
+    enumerate_immaculate = inv.enumerate_immaculate
+
+    def faulty(shape, content):
+        rows = enumerate_immaculate(shape, content)
+        return (bad,) + rows[1:] if (shape, content) == key else rows
+
+    monkeypatch.setattr(inv, "enumerate_immaculate", faulty)
+    inv._index.cache_clear()
+    named = re.escape(f"gave {bad}, outside A[{cell[0]},{cell[1]}]")
+    try:
+        with pytest.raises(RuntimeError, match=named):
+            inv.verify_cell("phi", cell)
+    finally:
+        inv._index.cache_clear()
+
+
+# (fillings validated, pairs checked) at degree <= 5: B shares no filling
+# between two coverings, so there every filling carries one pair
+VALIDATED_AND_CHECKED = {"phi": (685, 969), "chi": (274, 274), "psi": (291, 985)}
+
+
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi"])
+def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_name):
+    calls = []
+    validate_pair = inv.validate_pair
+
+    def counted(pair):
+        calls.append(pair)
+        return validate_pair(pair)
+
+    monkeypatch.setattr(inv, "validate_pair", counted)
+    kind = inv._family(map_name)
+    validated = checked = 0
+    inv._index.cache_clear()
+    by_degree = itertools.groupby(inv.index_cells(map_name, 5), lambda cell: sum(cell[0]))
+    for degree, cells in by_degree:
+        cells = list(cells)
+        for cell in cells:
+            inv.enumerate_pairs(kind, *cell)
+        # once per filling, as it enters the memo
+        assert len(calls) == sum(len(rows) for rows in inv._index(kind, degree)[1].values())
+        validated += len(calls)
+        calls.clear()
+        for cell in cells:
+            report = inv.verify_cell(map_name, cell)
+            assert report.ok, report.violations
+            checked += report.pairs_checked
+        assert not calls  # every image is a member, so none is validated
+    assert (validated, checked) == VALIDATED_AND_CHECKED[map_name]
+    inv._index.cache_clear()
+    report = inv.verify_involution(map_name, 5)
+    assert (len(calls), report.pairs_checked) == (validated, checked)
 
 
 def test_validate_trace_checks_interior_pairs_as_e_pairs():
