@@ -5,8 +5,8 @@ Subcommands::
 
     kostka matrix     --n N --kind {K,Kinv,NK,NKinv} [--format csv|json]
     kostka verify     --n N --identity {kkinv,kinvk,nk-nkinv,nkinv-nk,involutions}
-                      [--workers W]  (W processes check the involution suites;
-                      the matrix identities run in one)
+                      [--workers W]  (the library verifier checks the involution
+                      suites in a pool of up to W processes; identities use one)
     kostka enumerate  {compositions,partitions,immaculate,ssyt,thc,srht} ...
     kostka involution run --alg {phi,chi,psi,theta,rho} --input PAIR.json
                       [--trace] [--format json|ascii]
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 
 from . import involutions as inv
@@ -91,16 +89,6 @@ def _parse_as(data, cls: type):
     return value
 
 
-def _map(fn, tasks: list[tuple], workers: int) -> list:
-    """``fn(*task)`` for every task, in order; in a process pool when more
-    than one of ``workers``, tasks and CPUs is available."""
-    size = min(workers, len(tasks), os.cpu_count() or 1)
-    if size > 1:
-        with Pool(size) as pool:
-            return pool.starmap(fn, tasks)
-    return [fn(*task) for task in tasks]
-
-
 # -- matrix -------------------------------------------------------------------
 
 
@@ -117,47 +105,32 @@ def cmd_matrix(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _first_bad_entry(product: mx.TransitionMatrix):
-    for i, row in enumerate(product.entries):
-        for j, value in enumerate(row):
-            if value != (1 if i == j else 0):
-                return {
-                    "row": list(product.labels[i]),
-                    "col": list(product.labels[j]),
-                    "value": value,
-                }
-    return None
-
-
 def _verify_identity(identity: str, n: int) -> dict | None:
     """None on success, else a counterexample record."""
     sym = identity in ("kkinv", "kinvk")
     for m in range(1, n + 1):
         k, kinv = (mx.sym_K(m), mx.sym_Kinv(m)) if sym else (mx.nsym_K(m), mx.nsym_Kinv(m))
         product = mx.mat_mul(k, kinv) if identity in ("kkinv", "nk-nkinv") else mx.mat_mul(kinv, k)
-        bad = _first_bad_entry(product)
+        bad = mx.first_non_identity(product)
         if bad is not None:
-            bad.update({"identity": identity, "degree": m})
-            return bad
+            row, col, value = bad
+            return {"identity": identity, "degree": m, "row": list(row), "col": list(col),
+                    "value": value}
     return None
 
 
 def _verify_involutions(n: int, workers: int) -> dict | None:
     for map_name in ("phi", "chi", "psi", "rho"):
-        cells = inv.index_cells(map_name, n)
-        reports = _map(inv.verify_cell, [(map_name, cell) for cell in cells], workers)
-        total = inv.InvolutionReport(kind=reports[0].kind, map_name=map_name, degree=n)
-        for (left, right), report in zip(cells, reports):
-            if report.violations:
-                bad = {"map": map_name, "indices": [list(left), list(right)],
-                       "violation": report.violations[0]}
-                if report.pair is not None:
-                    bad["pair"] = sz.pair_to_obj(report.pair)
-                return bad
-            total.absorb(report)
-        stats = f"map={map_name} pairs={total.pairs_checked} fixed={total.fixed_points}"
+        report = inv.verify_involution(map_name, n, workers)
+        if report.violations:
+            bad = {"map": map_name, "indices": [list(index) for index in report.cell],
+                   "violation": report.violations[0]}
+            if report.pair is not None:
+                bad["pair"] = sz.pair_to_obj(report.pair)
+            return bad
+        stats = f"map={map_name} pairs={report.pairs_checked} fixed={report.fixed_points}"
         if map_name == "rho":
-            stats += f" longest-walk={total.max_walk}"
+            stats += f" longest-walk={report.max_walk}"
         print(f"PASS {stats}")
     return None
 
@@ -339,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_verify.add_argument("--workers", type=int, default=1,
-                          help="processes for --identity involutions; matrix identities use one")
+                          help="processes of the library verifier's pool for --identity "
+                               "involutions; matrix identities use one")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_verify.set_defaults(func=cmd_verify)
 

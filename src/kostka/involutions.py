@@ -30,17 +30,19 @@ for C/D/E), and the tableau fillings of each (shape, content) read so far.
 The index holds one (family, degree) at a time, and a filling enters it
 only after passing ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
-membership: an image must be one of the cell's enumerated pairs, and each
-walk of ``rho``, whose interior lies in E, must pass ``validate_trace``.
+membership: an image must be one of the cell's enumerated pairs, and the
+walk of ``rho``, whose interior lies in E, must replay in ``validate_trace``.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
+``verify_involution``, serial or pooled, is the one loop over cells.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .core import (
@@ -142,8 +144,10 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
 
     The walk runs from D to D through E, so an interior pair labelled D is
     checked as an E pair.  Raises ValueError when the trace is malformed,
-    a pair fails :func:`validate_pair`, or two pairs have different indices
-    (``psi`` and ``theta`` conserve both contents).
+    a pair fails :func:`validate_pair`, two pairs have different indices
+    (``psi`` and ``theta`` conserve both contents), the maps do not read
+    ``psi, theta, psi, ...`` as ``rho``'s do, or a step does not replay:
+    pairs[k + 1] must be maps[k] applied to pairs[k].
     """
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
@@ -155,6 +159,11 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
         indices.add(validate_pair(pair))
     if len(indices) != 1:
         raise ValueError("trace pairs have different indices")
+    for k, name in enumerate(trace.maps):
+        if name != ("psi", "theta")[k % 2]:
+            raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
+        if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
+            raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
     return indices.pop()
 
 
@@ -461,26 +470,16 @@ class InvolutionReport:
     kind: str
     map_name: str
     degree: int
-    index_pairs: int = 0
     pairs_checked: int = 0
     fixed_points: int = 0
     max_walk: int = 0
     violations: list[str] = field(default_factory=list)
     pair: Pair | None = None  # the pair of the first violation, if it has one
+    cell: tuple[IntSeq, IntSeq] | None = None  # the index pair of the first violation
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def absorb(self, other: InvolutionReport) -> None:
-        """Add the counts and violations of another report of the same map."""
-        self.index_pairs += other.index_pairs
-        self.pairs_checked += other.pairs_checked
-        self.fixed_points += other.fixed_points
-        self.max_walk = max(self.max_walk, other.max_walk)
-        if not self.violations:
-            self.pair = other.pair
-        self.violations.extend(other.violations)
 
 
 _MAPS: dict[str, tuple[str, Callable[[Pair], Pair]]] = {
@@ -519,9 +518,10 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     (which carry sign +1 and are unique), and that the signed pair count is
     the Kronecker delta.  Closure is membership: each image must be one of
     the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
-    as they entered its memo, and for ``rho`` both walks of an orbit must
-    pass :func:`validate_trace`, as their interior lies in E.  An image
-    outside the set is reported as leaving it when it fails
+    as they entered its memo.  For ``rho``, whose walks pass through E,
+    the walk from p must pass :func:`validate_trace` and the walk back
+    from q must be it reversed (``psi`` and ``theta`` are involutions).
+    An image outside the set is reported as leaving it when it fails
     :func:`validate_pair` or has other indices, else as missing from it.
 
     The pairs are visited one orbit at a time: a pair p not yet met gives
@@ -538,7 +538,7 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     kind = _family(map_name)
     apply = _MAPS[map_name][1]
     left, right = cell
-    report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left), index_pairs=1)
+    report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left))
     pairs = enumerate_pairs(kind, left, right)
     members = set(pairs)
     done: set[Pair] = set()  # partners already checked with their orbit
@@ -551,11 +551,7 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
         return report
 
     def walk(pair: Pair) -> tuple[Pair, Trace | None]:
-        if map_name == "rho":
-            image, trace = apply(pair)
-            report.max_walk = max(report.max_walk, len(trace.maps))
-            return image, trace
-        return apply(pair), None
+        return apply(pair) if map_name == "rho" else (apply(pair), None)
 
     for pair in pairs:
         report.pairs_checked += 1
@@ -568,9 +564,11 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
         if back != pair:
             return fail(f"{map_name} is not an involution at {left},{right}", pair)
         if trace is not None:  # the walks of rho pass through E, outside the set
-            for start, walked in ((pair, trace), (image, back_trace)):
-                if _misplaced(validate_trace, walked, (left, right)) is not None:
-                    return fail(f"image leaves {kind}[{left},{right}]", start)
+            report.max_walk = max(report.max_walk, len(trace.maps))
+            if _misplaced(validate_trace, trace, (left, right)) is not None:
+                return fail(f"image leaves {kind}[{left},{right}]", pair)
+            if back_trace != Trace(trace.pairs[::-1], trace.maps[::-1]):
+                return fail(f"image leaves {kind}[{left},{right}]", image)
         if image not in members:
             outside = _misplaced(validate_pair, image, (left, right)) is not None
             where = "leaves" if outside else "missing from the enumerated"
@@ -592,12 +590,33 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     return report
 
 
-def verify_involution(map_name: str, n: int) -> InvolutionReport:
-    """:func:`verify_cell` over every index pair at degree <= n, stopping at
-    the first cell with a violation."""
+def verify_involution(map_name: str, n: int, workers: int = 1) -> InvolutionReport:
+    """:func:`verify_cell` over every index pair at degree <= n, in
+    :func:`index_cells` order, up to the first cell with a violation, which
+    the report names as ``cell`` beside the counts of the cells checked.
+    With ``workers`` > 1 a pool of ``min(workers, cells, CPUs)`` processes
+    checks the cells in chunks, read back in order, so the report is the
+    serial one; the pool ends at the first violation."""
+    cells = index_cells(map_name, n)
+    check = partial(verify_cell, map_name)
+    size = min(workers, len(cells), os.cpu_count() or 1)
+    if size < 2:
+        return _add_up(map_name, n, cells, map(check, cells))
+    from multiprocessing import Pool  # here only: importing it costs ~10 ms
+
+    with Pool(size) as pool:
+        return _add_up(map_name, n, cells, pool.imap(check, cells, -(-len(cells) // (4 * size))))
+
+
+def _add_up(map_name: str, n: int, cells: list, parts) -> InvolutionReport:
+    """The counts of ``parts``, the reports of ``cells`` in order, added up to
+    the first with a violation, whose violations, pair and cell it takes."""
     report = InvolutionReport(kind=_family(map_name), map_name=map_name, degree=n)
-    for cell in index_cells(map_name, n):
-        report.absorb(verify_cell(map_name, cell))
-        if report.violations:
+    for cell, part in zip(cells, parts):
+        report.pairs_checked += part.pairs_checked
+        report.fixed_points += part.fixed_points
+        report.max_walk = max(report.max_walk, part.max_walk)
+        if part.violations:
+            report.violations, report.pair, report.cell = part.violations, part.pair, cell
             break
     return report

@@ -202,12 +202,18 @@ def mat_mul(a: TransitionMatrix, b: TransitionMatrix) -> TransitionMatrix:
     return TransitionMatrix(a.degree, a.index_kind, a.labels, tuple(product))
 
 
+def first_non_identity(a: TransitionMatrix) -> tuple[IntSeq, IntSeq, int] | None:
+    """(row label, column label, value) of the first entry, in row-major
+    order, where a differs from the identity; None when it is the identity."""
+    for i, row in enumerate(a.entries):
+        for j, entry in enumerate(row):
+            if entry != (1 if i == j else 0):
+                return a.labels[i], a.labels[j], entry
+    return None
+
+
 def is_identity(a: TransitionMatrix) -> bool:
-    return all(
-        entry == (1 if i == j else 0)
-        for i, row in enumerate(a.entries)
-        for j, entry in enumerate(row)
-    )
+    return first_non_identity(a) is None
 
 
 def exact_integer_inverse(

@@ -208,7 +208,7 @@ def verify_cell_per_pair(map_name, cell):
     kind = inv._family(map_name)
     apply = inv._MAPS[map_name][1]
     left, right = cell
-    report = inv.InvolutionReport(kind=kind, map_name=map_name, degree=sum(left), index_pairs=1)
+    report = inv.InvolutionReport(kind=kind, map_name=map_name, degree=sum(left))
     pairs = inv.enumerate_pairs(kind, left, right)
     signed = 0
 

@@ -405,7 +405,11 @@ def test_verify_reports_broken_map(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("cpus, sizes", [(3, [3] * 4), (None, []), (8, [5] * 4)])
 def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
-    """A pool gets no more processes than tasks or CPUs; none is started here."""
+    """A pool gets no more processes than tasks or CPUs; none is started here.
+    The pool is the library verifier's, which imports ``Pool`` as it starts
+    one."""
+    import multiprocessing
+
     requested = []
 
     class RecordingPool:
@@ -418,12 +422,51 @@ def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, tasks):
-            return [fn(*task) for task in tasks]
+        def imap(self, fn, tasks, chunksize):
+            assert chunksize == 1  # 5 cells over 4 * size >= 12 slots
+            return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(inv.os, "cpu_count", lambda: cpus)
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--identity", "involutions",
                            "--workers", "10000")
     assert code == 0 and out.endswith("PASS involutions n<=2\n")
     assert requested == sizes  # each of the four maps has 1 + 4 cells at n <= 2
+
+
+def test_a_failing_suite_stops_at_its_first_violating_cell(capsys, monkeypatch):
+    # phi as the identity fixes every pair: the third A cell, ((2,), (1, 1)),
+    # is the first off the diagonal; the command checks no cell past it
+    monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: pair))
+    cells = []
+    verify_cell = inv.verify_cell
+
+    def counted(map_name, cell):
+        cells.append(cell)
+        return verify_cell(map_name, cell)
+
+    monkeypatch.setattr(inv, "verify_cell", counted)
+    code, out, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "6",
+                           "--workers", "1")
+    assert code == 1
+    through_cli = list(cells)
+    cells.clear()
+    report = inv.verify_involution("phi", 6)
+    assert through_cli == cells and len(cells) == 3
+    assert json.loads(out)["indices"] == [list(index) for index in report.cell]
+    assert report.cell == cells[-1] == ((2,), (1, 1))
+
+
+def test_validate_replays_the_steps_of_a_trace(tmp_path, capsys):
+    from pathlib import Path
+
+    trace = json.loads((Path(__file__).parent / "data" / "walk_short_trace.json").read_text())
+    repeated = {**trace, "pairs": [trace["pairs"][0]] * len(trace["pairs"])}
+    renamed = {**trace, "maps": ["foo"] * len(trace["maps"])}
+    for bad, reason in ((repeated, "step 1 does not replay"), (renamed, "step 1 is 'foo'")):
+        source = tmp_path / "trace.json"
+        source.write_text(json.dumps(bad))
+        code, out, _ = run_cli(capsys, "validate", "--input", str(source))
+        assert code == 1
+        verdict = json.loads(out)
+        assert verdict["valid"] is False and verdict["reason"].startswith(reason)

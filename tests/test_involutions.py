@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import multiprocessing
 import re
 
 import pytest
@@ -612,6 +613,33 @@ def test_validate_trace_checks_interior_pairs_as_e_pairs():
         inv.validate_pair(trace.pairs[1])
     with pytest.raises(ValueError, match="different indices"):
         inv.validate_trace(inv.Trace((RHO_STORY, RHO_SMALL), ("psi",)))
+
+
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
+def test_a_pool_gives_the_serial_report(map_name):
+    serial = inv.verify_involution(map_name, 5)
+    pooled = inv.verify_involution(map_name, 5, workers=2)  # two processes at most
+    assert serial.ok and pooled.ok, pooled.violations
+    assert (pooled.pairs_checked, pooled.fixed_points, pooled.max_walk) == (
+        serial.pairs_checked,
+        serial.fixed_points,
+        serial.max_walk,
+    )
+    assert not multiprocessing.active_children()
+
+
+def test_a_failing_pool_stops_at_the_serial_cell_and_ends(monkeypatch):
+    monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: pair))
+    serial = inv.verify_involution("phi", 5)
+    pooled = inv.verify_involution("phi", 5, workers=2)
+    assert serial.violations and serial.cell == ((2,), (1, 1))
+    assert (pooled.violations, pooled.pair, pooled.cell, pooled.pairs_checked) == (
+        serial.violations,
+        serial.pair,
+        serial.cell,
+        serial.pairs_checked,
+    )
+    assert not multiprocessing.active_children()
 
 
 def test_verify_involution_rejects_unknown_map():
