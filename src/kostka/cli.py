@@ -1,5 +1,5 @@
 """Command-line surface: matrices, verification, enumeration, bijections,
-involutions, rendering.
+involutions, rendering, validation.
 
 Subcommands::
 
@@ -12,6 +12,7 @@ Subcommands::
                       [--trace] [--format json|ascii]
     kostka bijection  --direction DIR --input OBJ.json
     kostka render     --input OBJ.json --format {ascii,tikz}
+    kostka validate   --input OBJ.json  (a JSON verdict; exit 1 when invalid)
 
 Every command is deterministic given identical inputs and flags.  Exit
 codes: 0 pass, 1 counterexample found, 2 usage error (including degree-cap

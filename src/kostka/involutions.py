@@ -23,12 +23,14 @@ reduce to Kronecker deltas: that is the matrix-identity machinery.
 ``rho`` composes the last two along alternating paths.  All maps are pure;
 selection helpers are exposed separately so tests can pin the choices.
 
+The families differ only in how they read a covering's weights: ``_weights``
+states that rule once, and ``_shapes`` lists each family's covering shapes.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
 enumeration path: the coverings of every shape of the degree, found in one
-pass and bucketed by the index they give (the shape for A/B, the left index
-for C/D/E), and the tableau fillings of each (shape, content) read so far.
-The index holds one (family, degree) at a time, and a filling enters it
-only after passing ``validate_pair``.
+pass and filed as (covering, weights) under the index they give (the shape
+for A/B, the weights for C/D/E), and the tableau fillings of each (shape,
+content) read so far.  The index holds one (family, degree) at a time, and
+a filling enters it only after passing ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and the
 walk of ``rho``, whose interior lies in E, must replay in ``validate_trace``.
@@ -89,53 +91,57 @@ class Trace:
     maps: tuple[str, ...]
 
 
+def _weights(kind: str, covering: TunnelHookCovering) -> IntSeq:
+    """The family's reading of the covering's weights delta: A takes delta as
+    the tableau's content, B reads it through the permutation's inverse, C
+    drops its zeros and D/E also sort it.  A negative weight raises
+    ValueError, for C/D/E as ``flatten``'s InvalidContentError."""
+    delta = covering.delta()
+    if kind in ("A", "B"):
+        if any(d < 0 for d in delta):
+            raise ValueError("covering weights must be nonnegative")
+        return delta if kind == "A" else tuple(delta[j - 1] for j in perm_inverse(covering.perm))
+    weight = flatten(delta)
+    return weight if kind == "C" else dec(weight)
+
+
+def _shapes(kind: str, n: int) -> tuple[IntSeq, ...]:
+    """The family's degree-n covering shapes in label order, which also label
+    its cells (:func:`index_cells`): partitions for B/D, else compositions."""
+    return partitions_of(n) if kind in ("B", "D") else compositions_of(n)
+
+
 def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     """Check the pair's membership conditions; return its (left, right) indices.
 
     A: (tableau shape, covering shape), the tableau's content equal to the
-    covering's weight sequence.  B: likewise with the weights read through
-    the permutation's inverse and both shapes partitions.  C/E: a common
-    shape, indices are the two contents; D additionally needs the tableau
+    covering's weights as :func:`_weights` reads them.  B: likewise, with the
+    tableau column-strict and the covering shape a partition.  C/D/E: a common
+    shape, indices from :func:`pair_indices`; D additionally needs the tableau
     column-strict.  Raises ValueError with the violated condition.
     """
     rows = pair.tableau
     covering = pair.thc
     if not is_immaculate(rows):
         raise ValueError("tableau rows are not an immaculate filling")
-    ell = len(covering.shape)
-    if pair.kind == "A":
-        delta = covering.delta()
-        if any(d < 0 for d in delta):
-            raise ValueError("covering weights must be nonnegative")
-        if content_vector(rows, ell) != delta:
-            raise ValueError("tableau content differs from the covering weights")
-        return shape_of(rows), covering.shape
-    if pair.kind == "B":
-        if not is_ssyt(rows):
+    kind = pair.kind
+    if kind in ("A", "B"):
+        if kind == "B" and not is_ssyt(rows):
             raise ValueError("tableau must be column-strict")
-        if not is_partition(covering.shape):
+        if kind == "B" and not is_partition(covering.shape):
             raise ValueError("covering shape must be a partition")
-        delta = covering.delta()
-        if any(d < 0 for d in delta):
-            raise ValueError("covering weights must be nonnegative")
-        inv_perm = perm_inverse(covering.perm)
-        reordered = tuple(delta[inv_perm[i] - 1] for i in range(ell))
-        if content_vector(rows, ell) != reordered:
-            raise ValueError("tableau content differs from the reordered weights")
+        weights = _weights(kind, covering)
+        if content_vector(rows, len(weights)) != weights:
+            read = "covering" if kind == "A" else "reordered"
+            raise ValueError(f"tableau content differs from the {read} weights")
         return shape_of(rows), covering.shape
-    if pair.kind in ("C", "D", "E"):
+    if kind in ("C", "D", "E"):
         if shape_of(rows) != covering.shape:
             raise ValueError("tableau and covering shapes differ")
-        if pair.kind == "D" and not is_ssyt(rows):
+        if kind == "D" and not is_ssyt(rows):
             raise ValueError("tableau must be column-strict")
-        weight = covering.content()  # raises when a weight is negative
-        top = max(max(row) for row in rows)
-        mu = content_vector(rows, top)
-        if not all(mu):
-            raise ValueError("tableau content must be a composition")
-        left = weight if pair.kind == "C" else dec(weight)
-        return left, mu
-    raise ValueError(f"unknown pair family {pair.kind!r}")
+        return pair_indices(pair)
+    raise ValueError(f"unknown pair family {kind!r}")
 
 
 def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
@@ -185,33 +191,27 @@ def _index(
     degree-n coverings bucketed by index, and a dict of tableau fillings
     keyed by (shape, content) that ``enumerate_pairs`` fills as it reads.
 
-    A/B buckets are keyed by the covering shape (the right index) and hold
-    (covering, content) pairs, the content being the weights, for B read
-    through the permutation's inverse.  C/D/E buckets are keyed by the left
-    index (``flatten(delta)`` for C, its ``dec`` for D/E) and hold
-    coverings.  Shapes (partitions for B/D, else compositions) come in
-    label order, then in ``delta_choices`` order.  One (family, degree) is
-    held at a time: the verifier asks for cells degree by degree and map
-    by map, so memory does not grow with the degrees visited."""
-    shapes = partitions_of(n) if kind in ("B", "D") else compositions_of(n)
+    Every bucket holds (covering, weights) entries, the weights as
+    :func:`_weights` reads them, keyed by the right index for A/B (the
+    covering shape) and by the left index for C/D/E (the weights), in
+    :func:`_shapes` order, then in ``delta_choices`` order.  One (family,
+    degree) is held at a time: the verifier asks for cells degree by degree
+    and map by map, so memory does not grow with the degrees visited."""
     buckets: dict[IntSeq, list] = {}
-    for shape in shapes:
-        for perm, delta in delta_choices(shape):
+    for shape in _shapes(kind, n):
+        for perm, _ in delta_choices(shape):
             covering = TunnelHookCovering(shape, perm)
-            if kind in ("A", "B"):
-                content = delta if kind == "A" else tuple(delta[j - 1] for j in perm_inverse(perm))
-                buckets.setdefault(shape, []).append((covering, content))
-            else:
-                weight = flatten(delta)
-                buckets.setdefault(weight if kind == "C" else dec(weight), []).append(covering)
+            weights = _weights(kind, covering)
+            key = shape if kind in ("A", "B") else weights
+            buckets.setdefault(key, []).append((covering, weights))
     return {key: tuple(bucket) for key, bucket in buckets.items()}, {}
 
 
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
     """The complete pair set of the given family and index pair, read from
-    the per-degree index :func:`_index`.  A/B fill the shape ``left`` with
-    the content of each covering of shape ``right``; C/D/E fill the shape of
-    each covering filed under ``left`` with the content ``right``.
+    the per-degree index :func:`_index`.  Each (covering, weights) entry of
+    the cell's bucket is filled: A/B fill the shape ``left`` with the
+    weights, C/D/E fill the covering's shape with the content ``right``.
 
     Raises ValueError on an index the family cannot have: not a composition,
     of another degree, or not a partition where the family sorts it (both
@@ -234,26 +234,20 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
         raise ValueError(f"the left index of {kind} must be a partition, got {left}")
     buckets, fillings = _index(kind, sum(left))
     fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
-
-    def filled(covering: TunnelHookCovering, shape: IntSeq, content: IntSeq) -> tuple[Rows, ...]:
-        rows = fillings.get((shape, content))
+    by_shape = kind in ("A", "B")
+    out: list[Pair] = []
+    for covering, weights in buckets.get(right if by_shape else left, ()):
+        key = (left, weights) if by_shape else (covering.shape, right)
+        rows = fillings.get(key)
         if rows is None:
-            rows = fill(shape, content)
+            rows = fill(*key)
             for filling in rows:
                 why = _misplaced(validate_pair, Pair(kind, covering, filling), (left, right))
                 if why is not None:
-                    raise RuntimeError(f"{fill.__name__}{(shape, content)} gave {filling}, "
+                    raise RuntimeError(f"{fill.__name__}{key} gave {filling}, "
                                        f"outside {kind}[{left},{right}]: {why}")
-            fillings[shape, content] = rows
-        return rows
-
-    out: list[Pair] = []
-    if kind in ("A", "B"):
-        for covering, content in buckets.get(right, ()):
-            out.extend(Pair(kind, covering, t) for t in filled(covering, left, content))
-    else:
-        for covering in buckets.get(left, ()):
-            out.extend(Pair(kind, covering, t) for t in filled(covering, covering.shape, right))
+            fillings[key] = rows
+        out.extend(Pair(kind, covering, t) for t in rows)
     return tuple(out)
 
 
@@ -424,12 +418,16 @@ def theta(pair: Pair) -> Pair:
 
 
 def pair_indices(pair: Pair) -> tuple[IntSeq, IntSeq]:
-    """(lam, mu) for a D/E pair: the covering content's partition
-    rearrangement and the tableau's content vector."""
-    lam = dec(pair.thc.content())
+    """(left, right) for a C/D/E pair: the covering's weights as the family
+    reads them, and the tableau's content vector, which must be a
+    composition.  Such a content uses each value up to the largest entry, so
+    an entry above the cell count is refused before any counting."""
+    left = _weights(pair.kind, pair.thc)
     rows = pair.tableau
-    mu = content_vector(rows, max(max(row) for row in rows))
-    return lam, mu
+    top = max(max(row) for row in rows)
+    if top > sum(map(len, rows)) or not all(right := content_vector(rows, top)):
+        raise ValueError("tableau content must be a composition")
+    return left, right
 
 
 def rho(pair: Pair) -> tuple[Pair, Trace]:
@@ -502,10 +500,7 @@ def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
     kind = _family(map_name)
     cells: list[tuple[IntSeq, IntSeq]] = []
     for degree in range(1, n + 1):
-        if kind in ("A", "C"):
-            indices = compositions_of(degree)
-        else:
-            indices = partitions_of(degree)
+        indices = _shapes(kind, degree)
         cells.extend((left, right) for left in indices for right in indices)
     return cells
 

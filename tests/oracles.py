@@ -4,7 +4,7 @@ Everything here recomputes quantities from first principles by a different
 route than the library: partition counts by the pentagonal recurrence,
 permutation signs by bubble sorting, rim hook tableaux by raw path search
 over cell sets, tableau counts by filtering all multiset arrangements,
-C/D/E pair sets by scanning every covering of the degree for each cell,
+pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
 matrix products by the full triple loop, and the exhaustive involution check
 by applying the map twice to every pair.
@@ -175,21 +175,32 @@ _scan_ssyt = functools.cache(enumerate_ssyt)
 
 
 def pairs_by_scan(kind, left, right):
-    """The C/D/E pair set of one index pair by scanning every shape of the
-    degree and keeping the coverings whose content gives ``left``: the
-    per-cell search the library's per-degree covering index replaced."""
+    """The pair set of one index pair by scanning every shape of the degree:
+    the per-cell search the library's per-degree covering index replaced.
+    A/B keep the coverings of shape ``right`` and fill the shape ``left``
+    with their weights, for B with position i of the content read as
+    ``delta[perm.index(i + 1)]``; C/D/E keep the coverings whose content
+    gives ``left`` and fill their own shape with ``right``."""
     left, right = tuple(left), tuple(right)
     n = sum(left)
-    shapes = core.partitions_of(n) if kind == "D" else core.compositions_of(n)
-    fill = _scan_ssyt if kind == "D" else _scan_immaculate
+    shapes = core.partitions_of(n) if kind in ("B", "D") else core.compositions_of(n)
+    fill = _scan_ssyt if kind in ("B", "D") else _scan_immaculate
     out = []
     for shape in shapes:
         for perm, delta in _scan_choices(shape):
-            weight = core.flatten(delta)
-            if (weight if kind == "C" else core.dec(weight)) != left:
-                continue
+            if kind in ("A", "B"):
+                if shape != right:
+                    continue
+                if kind == "B":
+                    delta = tuple(delta[perm.index(i + 1)] for i in range(len(perm)))
+                fillings = fill(left, delta)
+            else:
+                weight = core.flatten(delta)
+                if (weight if kind == "C" else core.dec(weight)) != left:
+                    continue
+                fillings = fill(shape, right)
             covering = TunnelHookCovering(shape, perm)
-            out.extend(Pair(kind, covering, rows) for rows in fill(shape, right))
+            out.extend(Pair(kind, covering, rows) for rows in fillings)
     return tuple(out)
 
 

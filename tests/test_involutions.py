@@ -3,6 +3,7 @@ import functools
 import itertools
 import multiprocessing
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -345,6 +346,101 @@ def test_rho_fixes_diagonal():
     assert trace.maps == ()
 
 
+# -- validate_pair verdicts --------------------------------------------------
+
+# one pair per check, each failing that check and passing every earlier one
+INVALID_PAIRS = {
+    "A not immaculate": (
+        inv.Pair("A", thc_from_perm((2, 1), (1, 2)), ((2,), (1,))),
+        "tableau rows are not an immaculate filling",
+    ),
+    "A negative weight": (  # delta = (2, 2, -1)
+        inv.Pair("A", thc_from_perm((1, 1, 1), (2, 3, 1)), ((1,), (2,), (3,))),
+        "covering weights must be nonnegative",
+    ),
+    "A content mismatch": (  # content (1, 2), weights (2, 1)
+        inv.Pair("A", thc_from_perm((2, 1), (1, 2)), ((1, 2, 2),)),
+        "tableau content differs from the covering weights",
+    ),
+    "B not column-strict": (
+        inv.Pair("B", thc_from_perm((2, 2), (1, 2)), ((1, 2), (2, 2))),
+        "tableau must be column-strict",
+    ),
+    "B shape not a partition": (
+        inv.Pair("B", thc_from_perm((1, 2), (1, 2)), ((1, 1), (2,))),
+        "covering shape must be a partition",
+    ),
+    "B reordered mismatch": (  # content (3, 1) = delta, but reordered (1, 3)
+        inv.Pair("B", thc_from_perm((2, 2), (2, 1)), ((1, 1, 1), (2,))),
+        "tableau content differs from the reordered weights",
+    ),
+    "C shapes differ": (
+        inv.Pair("C", thc_from_perm((2, 1), (1, 2)), ((1, 1, 2),)),
+        "tableau and covering shapes differ",
+    ),
+    "D not column-strict": (
+        inv.Pair("D", thc_from_perm((2, 2), (1, 2)), ((1, 2), (2, 2))),
+        "tableau must be column-strict",
+    ),
+    "E negative weight": (
+        inv.Pair("E", thc_from_perm((1, 1, 1), (2, 3, 1)), ((1,), (2,), (3,))),
+        "negative entry in (2, 2, -1)",
+    ),
+    "C content with a gap": (  # content (1, 0, 2)
+        inv.Pair("C", thc_from_perm((2, 1), (1, 2)), ((1, 3), (3,))),
+        "tableau content must be a composition",
+    ),
+    "C entry above the cell count": (  # content (1, 0, 1)
+        inv.Pair("C", thc_from_perm((2,), (1,)), ((1, 3),)),
+        "tableau content must be a composition",
+    ),
+    "unknown family": (
+        inv.Pair("F", thc_from_perm((1,), (1,)), ((1,),)),
+        "unknown pair family 'F'",
+    ),
+}
+
+# one valid pair per family with its (left, right)
+VALID_PAIRS = {
+    "A": (inv.Pair("A", thc_from_perm((2, 1), (1, 2)), ((1, 1), (2,))), ((2, 1), (2, 1))),
+    "B": (  # delta (3, 1) read through the inverse of (2, 1)
+        inv.Pair("B", thc_from_perm((2, 2), (2, 1)), ((1, 2, 2), (2,))),
+        ((3, 1), (2, 2)),
+    ),
+    "C": (inv.Pair("C", thc_from_perm((1, 2), (1, 2)), ((1,), (2, 2))), ((1, 2), (1, 2))),
+    "D": (inv.Pair("D", thc_from_perm((2, 2), (1, 2)), ((1, 2), (2, 3))), ((2, 2), (1, 2, 1))),
+    "E": (inv.Pair("E", thc_from_perm((1, 2), (1, 2)), ((1,), (2, 2))), ((2, 1), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("check", INVALID_PAIRS)
+def test_validate_pair_names_the_check_that_fails(check):
+    pair, message = INVALID_PAIRS[check]
+    with pytest.raises(ValueError) as err:
+        inv.validate_pair(pair)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", VALID_PAIRS)
+def test_validate_pair_gives_the_indices_of_a_valid_pair(kind):
+    pair, indices = VALID_PAIRS[kind]
+    assert inv.validate_pair(pair) == indices
+
+
+def test_validate_pair_rejects_a_large_entry_without_counting_to_it():
+    # a composition content uses every value up to its largest, so a larger
+    # entry than the cell count is refused before any vector is built
+    pair = inv.Pair("C", thc_from_perm((1,), (1,)), ((10**6,),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be a composition"):
+            inv.validate_pair(pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # -- pair sets ---------------------------------------------------------------
 
 
@@ -360,11 +456,11 @@ def test_diagonal_pair_sets_are_singletons():
                 assert len(inv.enumerate_pairs(kind, lam, lam)) == 1
 
 
-@pytest.mark.parametrize("kind", ["C", "D", "E"])
+@pytest.mark.parametrize("kind", ["A", "B", "C", "D", "E"])
 def test_pair_sets_match_the_per_cell_scan(kind):
     # the per-degree covering index gives every cell the scan's tuple, in order
     for n in range(1, 7):
-        indices = core.compositions_of(n) if kind == "C" else core.partitions_of(n)
+        indices = core.compositions_of(n) if kind in ("A", "C") else core.partitions_of(n)
         for left, right in itertools.product(indices, repeat=2):
             assert inv.enumerate_pairs(kind, left, right) == pairs_by_scan(kind, left, right)
 
