@@ -68,7 +68,6 @@ from .tunnelhooks import (
     available_terminals,
     build_thc,
     enumerate_thc,
-    gbpr,
     perm_cycles_thc,
     perm_incremental,
     perm_of_thc,

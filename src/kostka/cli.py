@@ -232,7 +232,9 @@ def cmd_bijection(args) -> int:
     if source is None:
         print(sz.dumps(apply(*_loose_shape_perm(data))))
     else:
-        print(sz.dumps(apply(_parse_as(data, source))))
+        value = _parse_as(data, source)
+        _check(value)
+        print(sz.dumps(apply(value)))
     return 0
 
 
@@ -365,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  The input boundary: a ValueError escaping a command
-    means its outside input was malformed, and exits 2 with one line."""
+    means its outside input was malformed, and exits 2 with one line; so does
+    a RecursionError, as the enumerators recurse once per cell or row."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -373,6 +376,8 @@ def main(argv=None) -> int:
         print(f"no preimage: {err}", file=sys.stderr)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
+    except RecursionError as err:
+        print(f"invalid input: too deep for the recursive search ({err})", file=sys.stderr)
     return 2
 
 

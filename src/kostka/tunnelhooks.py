@@ -8,10 +8,11 @@ length l are in bijection with permutations of {1..l}: hook r terminates on
 the diagonal sigma(r), and the sign of the covering is the sign of sigma.
 
 The canonical representation of a covering is the (shape, permutation) pair;
-the colored-diagram geometry is replayed on demand.  Replaying keeps the
-expensive part out of enumeration loops while still exercising the full
-construction for validation and rendering.  The module caches nothing:
-:func:`replay_hooks` replays on every call, and :func:`delta_choices`, the
+the colored-diagram geometry is replayed on demand by :func:`replay_hooks`,
+the one stage walk, and :func:`build_thc` replays the permutation that its
+terminal choices form.  Replaying keeps the expensive part out of
+enumeration loops while still exercising the full construction for
+validation and rendering.  Nothing is cached: :func:`delta_choices`, the
 one permutation search behind coverings, rim hooks and content filters, is
 a plain function.
 
@@ -94,11 +95,6 @@ class GBPRDiagram:
         if c == 0:
             return True
         return 1 <= r <= len(self) and 1 <= c <= self.nu[r - 1]
-
-
-def gbpr(a: Sequence[int], nu: Sequence[int]) -> GBPRDiagram:
-    """Colored diagram of shape ``a`` over grey profile ``nu``."""
-    return GBPRDiagram(tuple(a), tuple(nu))
 
 
 def boundary_cells(diagram: GBPRDiagram, i: int) -> list[Cell]:
@@ -222,9 +218,10 @@ def thc_from_perm(shape: Sequence[int], perm: Sequence[int]) -> TunnelHookCoveri
 def replay_hooks(shape: IntSeq, perm: Perm) -> tuple[TunnelHook, ...]:
     """Run the stage-wise construction, hook by hook, for (shape, perm).
 
-    Each stage consumes the hook whose terminal lies on diagonal perm[r];
-    the cell-wise weight of every hook is checked against the closed form
-    shape_r + perm_r - r, so a geometry bug cannot pass silently.
+    Each stage consumes the hook ending on the available terminal on
+    diagonal perm[r]; the cell-wise weight of every hook is checked against
+    the closed form shape_r + perm_r - r, so a geometry bug cannot pass
+    silently.  Replays on every call.
     """
     ell = len(shape)
     nu = [0] * ell
@@ -232,15 +229,14 @@ def replay_hooks(shape: IntSeq, perm: Perm) -> tuple[TunnelHook, ...]:
     for r in range(1, ell + 1):
         diagram = GBPRDiagram(shape, tuple(nu))
         target = perm[r - 1]
-        p = next(
-            (cand for cand in range(r, ell + 1) if cand - nu[cand - 1] == target),
-            None,
+        terminal = next(
+            (t for t in available_terminals(diagram, r) if diagonal(t) == target), None
         )
-        if p is None:
+        if terminal is None:
             raise ValueError(
                 f"no available terminal on diagonal {target} at stage {r} of {shape}"
             )
-        hook = _hook_at(diagram, r, p)
+        hook = _hook_at(diagram, r, terminal[0])
         expected = shape[r - 1] + perm[r - 1] - r
         if hook.delta != expected:
             raise ValueError(
@@ -256,33 +252,22 @@ def replay_hooks(shape: IntSeq, perm: Perm) -> tuple[TunnelHook, ...]:
 def build_thc(
     shape: Sequence[int], terminals: Sequence[Cell]
 ) -> tuple[TunnelHookCovering, tuple[TunnelHook, ...]]:
-    """Build a covering from explicit terminal-cell choices, stage by stage.
+    """Build a covering from explicit terminal-cell choices by replaying them.
 
-    Every choice is validated against the terminals available at its stage.
+    The diagonals of the choices are the permutation.  A choice off every
+    available diagonal fails the replay, diagonals that repeat fail the
+    constructor, and hook r must end on choice r itself, not only on its
+    diagonal.
     """
-    shape = tuple(shape)
-    ell = len(shape)
-    if len(terminals) != ell:
+    if len(terminals) != len(shape):
         raise ValueError("one terminal choice per row is required")
-    nu = [0] * ell
-    hooks: list[TunnelHook] = []
-    perm: list[int] = []
-    for r, choice in enumerate(terminals, start=1):
-        diagram = GBPRDiagram(shape, tuple(nu))
-        legal = available_terminals(diagram, r)
-        if tuple(choice) not in legal:
-            raise ValueError(f"illegal terminal {choice} at stage {r}; legal: {legal}")
-        p = choice[0]
-        hook = _hook_at(diagram, r, p)
-        perm.append(diagonal(hook.terminal))
-        for i, _ in hook.cells:
-            nu[i - 1] += 1
-        hooks.append(hook)
-    covering = TunnelHookCovering(shape, tuple(perm))
-    for hook, d in zip(hooks, covering.delta()):
-        if hook.delta != d:
-            raise ValueError("cell-wise weights disagree with the closed form")
-    return covering, tuple(hooks)
+    choices = [tuple(choice) for choice in terminals]
+    covering = TunnelHookCovering(tuple(shape), tuple(diagonal(c) for c in choices))
+    hooks = covering.hooks()
+    for r, (hook, choice) in enumerate(zip(hooks, choices), start=1):
+        if hook.terminal != choice:
+            raise ValueError(f"illegal terminal {choice} at stage {r}")
+    return covering, hooks
 
 
 def perm_of_thc(covering: TunnelHookCovering) -> Perm:

@@ -309,6 +309,11 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["render", "--input", "in.json"], {"kind": "trace", "maps": [], "pairs": []}, 2),
         (["render", "--input", "in.json"], {**_SRHT, "hooks": [[[5, 5]]]}, 2),
         (["render", "--input", "in.json"], {"kind": "tableau", "rows": [[]]}, 2),
+        (["bijection", "--direction", "srht-to-thc", "--input", "in.json"],
+         {"kind": "srht", "shape": [1], "hooks": [[]]}, 2),
+        (["bijection", "--direction", "srht-to-perm", "--input", "in.json"],
+         {"kind": "srht", "shape": [1, 1], "hooks": [[[2, 1]], [[1, 1]]]}, 2),
+        (["enumerate", "immaculate", "--shape", "1000", "--content", "1000"], None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

@@ -7,38 +7,38 @@ from kostka import core, tunnelhooks as th
 
 
 def test_gbpr_all_blue():
-    d = th.gbpr((2, 3, 4, 2), (0, 0, 0, 0))
+    d = th.GBPRDiagram((2, 3, 4, 2), (0, 0, 0, 0))
     for i, length in enumerate((2, 3, 4, 2), start=1):
         assert [d.color(i, j) for j in range(1, length + 1)] == ["B"] * length
         assert d.color(i, length + 1) == "P"
 
 
 def test_gbpr_red_overshoot():
-    d = th.gbpr((1,), (3,))
+    d = th.GBPRDiagram((1,), (3,))
     assert [d.color(1, j) for j in range(1, 7)] == ["G", "G", "G", "R", "R", "P"]
 
 
 def test_gbpr_zero_row():
-    d = th.gbpr((0,), (0,))
+    d = th.GBPRDiagram((0,), (0,))
     assert d.color(1, 1) == "P"  # no grey, blue, or red cells at all
 
 
 def test_gbpr_negative_entry():
-    d = th.gbpr((-2,), (1,))
+    d = th.GBPRDiagram((-2,), (1,))
     # one grey then |a| + nu = 3 red cells
     assert [d.color(1, j) for j in range(1, 6)] == ["G", "R", "R", "R", "P"]
 
 
 def test_available_terminals_fresh():
-    d = th.gbpr((8, 7, 7, 4), (0, 0, 0, 0))
+    d = th.GBPRDiagram((8, 7, 7, 4), (0, 0, 0, 0))
     terminals = th.available_terminals(d, 1)
     assert terminals == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert [th.diagonal(t) for t in terminals] == [1, 2, 3, 4]
 
 
 def test_available_terminals_single_row_and_last_row():
-    assert th.available_terminals(th.gbpr((5,), (0,)), 1) == [(1, 1)]
-    d = th.gbpr((2, 2, 2), (2, 1, 1))
+    assert th.available_terminals(th.GBPRDiagram((5,), (0,)), 1) == [(1, 1)]
+    d = th.GBPRDiagram((2, 2, 2), (2, 1, 1))
     assert th.available_terminals(d, 3) == [(3, 2)]
 
 
@@ -174,6 +174,10 @@ def test_build_thc_by_choices_is_bijective_with_perms():
 def test_build_thc_rejects_illegal_terminal():
     with pytest.raises(ValueError):
         th.build_thc((2, 2), [(1, 2), (2, 1)])
+    # the diagonals (2, 1, 3) form a permutation, and (3, 2) lies on the
+    # diagonal of the available terminal (2, 1), but it is another cell
+    with pytest.raises(ValueError):
+        th.build_thc((2, 2, 2), [(3, 2), (1, 1), (3, 1)])
 
 
 def test_wide_covering_via_explicit_terminals():
