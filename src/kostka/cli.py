@@ -368,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command.  The input boundary: a ValueError escaping a command
     means its outside input was malformed, and exits 2 with one line; so does
-    a RecursionError, as the enumerators recurse once per cell or row."""
+    a RecursionError, as the tableau backtracker recurses once per cell
+    after each row's run of its least value, and ``delta_choices`` once per
+    row."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -7,8 +7,10 @@ strictly increasing columns.
 
 One row-by-row backtracker in reading order serves both kinds, so results
 come out in lexicographic order by reading word and the output order is
-stable.  The enumerators are plain functions: the involution verifier keeps
-the fillings it re-reads in its per-degree index (``involutions._index``).
+stable.  Each row opens with its forced run (the least value left, all its
+copies), so a dead opening is cut without search.  The enumerators are
+plain functions: the involution verifier keeps the fillings it re-reads in
+its per-degree index (``involutions._index``).
 The Kostka matrices do not list tableaux (they count them in
 ``matrices``); the enumerators stay their independent oracle.
 """
@@ -95,7 +97,13 @@ def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[R
     """The fillings with weakly increasing rows, in reading-word order.
 
     An entry must exceed the one above it in the first column, and in every
-    column when ``strict``.  No cell is ruled out in advance.
+    column when ``strict``.  Each row opens with its forced run: the least
+    value v left and every copy of it.  Every entry of a later row exceeds
+    this row's first entry, so that entry is v and no copy of v can go lower.
+    The earlier rows' runs used up every value up to ``above[0]``, so v
+    exceeds it; the row is dead, unsearched, when v has more copies than it
+    has cells, or when ``strict`` and the entry above the run's last copy is
+    not below v (``above`` increases weakly, so that one covers the run).
     """
     m = len(content)
     counts = list(content)
@@ -109,7 +117,14 @@ def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[R
         length = shape[i]
         above = rows[i - 1] if i > 0 else (0,)  # (0,): entries start at 1
         checked = length if strict and i > 0 else 0
-        row: list[int] = []
+        least = above[0] + 1
+        while not counts[least - 1]:  # copies are left: the rows ahead need them
+            least += 1
+        run = counts[least - 1]
+        if run > length or (checked and above[run - 1] >= least):
+            return
+        counts[least - 1] = 0
+        row = [least] * run
 
         def place(j: int, lo: int) -> None:
             if j == length:
@@ -128,7 +143,8 @@ def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[R
                 row.pop()
                 counts[v - 1] += 1
 
-        place(0, above[0] + 1)
+        place(run, least + 1)
+        counts[least - 1] = run
 
     fill_row(0)
     return tuple(results)

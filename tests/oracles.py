@@ -4,6 +4,7 @@ Everything here recomputes quantities from first principles by a different
 route than the library: partition counts by the pentagonal recurrence,
 permutation signs by bubble sorting, rim hook tableaux by raw path search
 over cell sets, tableau counts by filtering all multiset arrangements,
+tableau order by a backtracker that tries every value in every cell,
 pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
 matrix products by the full triple loop, and the exhaustive involution check
@@ -91,6 +92,48 @@ def ssyt_by_filter(shape, content):
         ):
             out.append(rows)
     return out
+
+
+def fill_cell_by_cell(shape, content, strict):
+    """``tableaux._fill`` without the forced run: every cell, a row's first
+    included, tries each value left that its row and the entry above allow,
+    so the fillings come out in reading-word order and dead openings are
+    searched to the end."""
+    m = len(content)
+    counts = list(content)
+    results = []
+    rows = []
+
+    def fill_row(i):
+        if i == len(shape):
+            results.append(tuple(rows))
+            return
+        length = shape[i]
+        above = rows[i - 1] if i > 0 else (0,)
+        checked = length if strict and i > 0 else 0
+        row = []
+
+        def place(j, lo):
+            if j == length:
+                rows.append(tuple(row))
+                fill_row(i + 1)
+                rows.pop()
+                return
+            if j < checked and above[j] >= lo:
+                lo = above[j] + 1
+            for v in range(lo, m + 1):
+                if counts[v - 1] == 0:
+                    continue
+                counts[v - 1] -= 1
+                row.append(v)
+                place(j + 1, v)
+                row.pop()
+                counts[v - 1] += 1
+
+        place(0, above[0] + 1)
+
+    fill_row(0)
+    return tuple(results)
 
 
 def naive_enumerate_srht(shape):

@@ -96,6 +96,14 @@ def test_enumerate_srht(capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_enumerate_long_row_of_one_value(capsys):
+    # the row's forced run places all 1,000 copies at once, with no recursion
+    code, out, _ = run_cli(capsys, "enumerate", "immaculate", "--shape", "1000",
+                           "--content", "1000")
+    assert code == 0
+    assert [json.loads(line)["rows"] for line in out.splitlines()] == [[[1] * 1000]]
+
+
 def test_involution_run(tmp_path, capsys):
     pair = inv.Pair(
         "D", thc_from_perm((2, 2, 1), (1, 3, 2)), ((1, 2), (3, 4), (5,))
@@ -313,7 +321,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
          {"kind": "srht", "shape": [1], "hooks": [[]]}, 2),
         (["bijection", "--direction", "srht-to-perm", "--input", "in.json"],
          {"kind": "srht", "shape": [1, 1], "hooks": [[[2, 1]], [[1, 1]]]}, 2),
-        (["enumerate", "immaculate", "--shape", "1000", "--content", "1000"], None, 2),
+        (["enumerate", "immaculate", "--shape", "1000", "--content", ",".join(["1"] * 1000)],
+         None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

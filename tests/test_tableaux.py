@@ -1,11 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kostka import core, tableaux
-from oracles import immaculate_by_filter, ssyt_by_filter
+from oracles import fill_cell_by_cell, immaculate_by_filter, ssyt_by_filter
 
 # The running example pair from the shape-(4,3,4,3,1,5) covering: an
 # immaculate filling of shape (4,3,7,6) whose content is the covering's
@@ -81,6 +82,42 @@ def test_enumerate_immaculate_against_filter_oracle(n):
             assert ours == tableaux._fill(alpha, content, strict=False)
             assert sorted(ours) == sorted(immaculate_by_filter(alpha, content))
             assert all(tableaux.is_immaculate(rows) for rows in ours)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fill_order_against_cell_by_cell_oracle(n):
+    # the filter oracles compare sorted lists; this pins the order too, and
+    # calls _fill directly, so cells the dominance prune answers are searched
+    for strict, shapes in ((False, core.compositions_of(n)), (True, core.partitions_of(n))):
+        contents = list(_contents(n, shapes))
+        for shape in shapes:
+            for content in contents:
+                assert tableaux._fill(shape, content, strict) == fill_cell_by_cell(
+                    shape, content, strict
+                ), (shape, content, strict)
+
+
+def test_fill_order_against_cell_by_cell_oracle_sampled():
+    rng = random.Random(20251118)
+    for n in (8, 9):
+        compositions = core.compositions_of(n)
+        partitions = core.partitions_of(n)
+        for _ in range(100):
+            strict = rng.random() < 0.5
+            shape = rng.choice(partitions if strict else compositions)
+            content = [0] * rng.randint(1, n + 1)
+            for _ in range(n):
+                content[rng.randrange(len(content))] += 1
+            content = tuple(content)
+            assert tableaux._fill(shape, content, strict) == fill_cell_by_cell(
+                shape, content, strict
+            ), (shape, content, strict)
+
+
+def test_one_repeated_value_fills_a_long_row_without_recursion():
+    # the forced run fills the row in one step, past the recursion limit
+    assert tableaux.enumerate_immaculate((1000,), (1000,)) == (((1,) * 1000,),)
+    assert tableaux.enumerate_ssyt((1000,), (1000,)) == (((1,) * 1000,),)
 
 
 def test_enumerate_ssyt_fixtures():
