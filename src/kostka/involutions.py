@@ -27,10 +27,10 @@ The families differ only in how they read a covering's weights: ``_weights``
 states that rule once, and ``_shapes`` lists each family's covering shapes.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
 enumeration path: the coverings of every shape of the degree, found in one
-pass and filed as (covering, weights) under the index they give (the shape
-for A/B, the weights for C/D/E), and the tableau fillings of each (shape,
-content) read so far.  The index holds one (family, degree) at a time, and
-a filling enters it only after passing ``validate_pair``.
+pass and filed under the index they give (the shape for A/B, the weights
+for C/D/E), and the fillings of each (shape, composition content) read so
+far, which A/B relabel to their weights.  The index holds one (family,
+degree) at a time, and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and the
 walk of ``rho``, whose interior lies in E, must replay in ``validate_trace``.
@@ -70,6 +70,7 @@ from .tableaux import (
     enumerate_ssyt,
     is_immaculate,
     is_ssyt,
+    relabelling,
     shape_of,
 )
 from .tunnelhooks import TunnelHookCovering, delta_choices, thc_from_perm
@@ -184,16 +185,15 @@ def _misplaced(check: Callable, subject: Pair | Trace, cell: tuple[IntSeq, IntSe
 
 
 @lru_cache(maxsize=1)
-def _index(
-    kind: str, n: int
-) -> tuple[dict[IntSeq, tuple], dict[tuple[IntSeq, IntSeq], tuple[Rows, ...]]]:
+def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Rows, ...]]]:
     """The memo of :func:`enumerate_pairs` for one (family, degree): the
     degree-n coverings bucketed by index, and a dict of tableau fillings
-    keyed by (shape, content) that ``enumerate_pairs`` fills as it reads.
+    keyed by (shape, composition content) that ``enumerate_pairs`` fills.
 
-    Every bucket holds (covering, weights) entries, the weights as
-    :func:`_weights` reads them, keyed by the right index for A/B (the
-    covering shape) and by the left index for C/D/E (the weights), in
+    Every bucket holds (covering, content, relabel) entries, the weights as
+    :func:`_weights` reads them through ``relabelling`` (the identity for
+    C/D/E, whose weights are compositions), keyed by the right index for A/B
+    (the covering shape) and by the left index for C/D/E (the weights), in
     :func:`_shapes` order, then in ``delta_choices`` order.  One (family,
     degree) is held at a time: the verifier asks for cells degree by degree
     and map by map, so memory does not grow with the degrees visited."""
@@ -203,23 +203,23 @@ def _index(
             covering = TunnelHookCovering(shape, perm)
             weights = _weights(kind, covering)
             key = shape if kind in ("A", "B") else weights
-            buckets.setdefault(key, []).append((covering, weights))
+            buckets.setdefault(key, []).append((covering, *relabelling(weights)))
     return {key: tuple(bucket) for key, bucket in buckets.items()}, {}
 
 
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
     """The complete pair set of the given family and index pair, read from
-    the per-degree index :func:`_index`.  Each (covering, weights) entry of
-    the cell's bucket is filled: A/B fill the shape ``left`` with the
-    weights, C/D/E fill the covering's shape with the content ``right``.
+    the per-degree index :func:`_index`.  Each entry of the cell's bucket is
+    filled: A/B fill the shape ``left`` with the weights' nonzero entries
+    and relabel, C/D/E fill the covering's shape with the content ``right``.
 
     Raises ValueError on an index the family cannot have: not a composition,
     of another degree, or not a partition where the family sorts it (both
     indices of B, the left index of D/E).  A filling enters the memo once
-    :func:`validate_pair` puts it in this cell with the covering that asked
-    for it; as the index files each covering by its weights, the check holds
-    for every covering that reads it later.  A filling that fails raises
-    RuntimeError, as a fault of the enumerator."""
+    :func:`validate_pair` puts it, relabelled, in this cell with the
+    covering that asked for it.  A later reader needs no check: relabelling
+    keeps the row and column rules and makes the content the reader's
+    weights by construction.  A filling that fails raises RuntimeError."""
     left = tuple(left)
     right = tuple(right)
     if kind not in ("A", "B", "C", "D", "E"):
@@ -236,18 +236,18 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
     fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
     by_shape = kind in ("A", "B")
     out: list[Pair] = []
-    for covering, weights in buckets.get(right if by_shape else left, ()):
-        key = (left, weights) if by_shape else (covering.shape, right)
+    for covering, content, relabel in buckets.get(right if by_shape else left, ()):
+        key = (left, content) if by_shape else (covering.shape, right)
         rows = fillings.get(key)
         if rows is None:
             rows = fill(*key)
-            for filling in rows:
-                why = _misplaced(validate_pair, Pair(kind, covering, filling), (left, right))
+            for filling, read in zip(rows, relabel(rows)):
+                why = _misplaced(validate_pair, Pair(kind, covering, read), (left, right))
                 if why is not None:
                     raise RuntimeError(f"{fill.__name__}{key} gave {filling}, "
                                        f"outside {kind}[{left},{right}]: {why}")
             fillings[key] = rows
-        out.extend(Pair(kind, covering, t) for t in rows)
+        out.extend(Pair(kind, covering, t) for t in relabel(rows))
     return tuple(out)
 
 
@@ -591,7 +591,9 @@ def verify_involution(map_name: str, n: int, workers: int = 1) -> InvolutionRepo
     the report names as ``cell`` beside the counts of the cells checked.
     With ``workers`` > 1 a pool of ``min(workers, cells, CPUs)`` processes
     checks the cells in chunks, read back in order, so the report is the
-    serial one; the pool ends at the first violation."""
+    serial one; the pool ends at the first violation.  ValueError if ``workers`` < 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = index_cells(map_name, n)
     check = partial(verify_cell, map_name)
     size = min(workers, len(cells), os.cpu_count() or 1)

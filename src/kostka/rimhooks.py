@@ -45,9 +45,6 @@ class SpecialRimHookTableau:
     def initial_cells(self) -> tuple[Cell, ...]:
         return tuple(h[0] for h in self.hooks)
 
-    def terminal_cells(self) -> tuple[Cell, ...]:
-        return tuple(h[-1] for h in self.hooks)
-
 
 def validate_srht(tableau: SpecialRimHookTableau) -> None:
     """Raise unless the hooks are monotone rim paths tiling the diagram.

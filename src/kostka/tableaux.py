@@ -10,14 +10,14 @@ come out in lexicographic order by reading word and the output order is
 stable.  Each row opens with its forced run (the least value left, all its
 copies), so a dead opening is cut without search.  The enumerators are
 plain functions: the involution verifier keeps the fillings it re-reads in
-its per-degree index (``involutions._index``).
+its per-degree index (``involutions._index``), by composition content.
 The Kostka matrices do not list tableaux (they count them in
 ``matrices``); the enumerators stay their independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import dec, dominates, is_composition, is_partition
 
@@ -91,6 +91,17 @@ def _nonzero(shape: Sequence[int], content: Sequence[int]) -> tuple[int, ...]:
     if sum(shape) != sum(content):
         raise ValueError("shape size and content total differ")
     return tuple(c for c in content if c)
+
+
+def relabelling(content: Sequence[int]) -> tuple[tuple[int, ...], Callable]:
+    """(nonzero, relabel): the content's nonzero entries, and the map from their
+    fillings onto those of ``content`` taking k to the k-th nonzero position; it
+    keeps order, so the row and column rules and reading-word order hold."""
+    values = [k for k, c in enumerate(content, 1) if c]
+    if len(values) == len(content):
+        return tuple(content), lambda fillings: fillings
+    return tuple(content[k - 1] for k in values), lambda fillings: tuple(
+        tuple(tuple(values[v - 1] for v in row) for row in rows) for rows in fillings)
 
 
 def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[Rows, ...]:

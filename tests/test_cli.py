@@ -323,6 +323,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
          {"kind": "srht", "shape": [1, 1], "hooks": [[[2, 1]], [[1, 1]]]}, 2),
         (["enumerate", "immaculate", "--shape", "1000", "--content", ",".join(["1"] * 1000)],
          None, 2),
+        (["verify", "--identity", "involutions", "--n", "2", "--workers", "0"], None, 2),
+        (["verify", "--identity", "involutions", "--n", "2", "--workers", "-3"], None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

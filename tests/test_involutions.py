@@ -477,6 +477,15 @@ def test_covering_index_holds_one_degree():
     _, fillings = inv._index("C", 4)
     assert fillings
     assert {(sum(shape), sum(content)) for shape, content in fillings} == {(4, 4)}
+    # one rule for every family: a memo key's content is a composition, so
+    # A reads exactly the cells C reads
+    for degree in range(1, 6):
+        keys = {}
+        for map_name in ("phi", "chi", "psi"):
+            inv.verify_involution(map_name, degree)
+            keys[map_name] = set(inv._index(inv._family(map_name), degree)[1])
+            assert all(core.is_composition(content) for _, content in keys[map_name])
+        assert keys["phi"] == keys["psi"]
 
 
 @pytest.mark.parametrize(
@@ -664,9 +673,10 @@ def test_a_faulty_filling_is_caught_as_it_enters_the_memo(monkeypatch, cell, key
         inv._index.cache_clear()
 
 
-# (fillings validated, pairs checked) at degree <= 5: B shares no filling
-# between two coverings, so there every filling carries one pair
-VALIDATED_AND_CHECKED = {"phi": (685, 969), "chi": (274, 274), "psi": (291, 985)}
+# (fillings validated, pairs checked) at degree <= 5: the memo keys every
+# family by composition content, so A validates C's 291 fillings, and B's
+# fillings of the nonzero weights serve more than one covering
+VALIDATED_AND_CHECKED = {"phi": (291, 969), "chi": (171, 274), "psi": (291, 985)}
 
 
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi"])

@@ -82,6 +82,8 @@ def test_enumerate_immaculate_against_filter_oracle(n):
             assert ours == tableaux._fill(alpha, content, strict=False)
             assert sorted(ours) == sorted(immaculate_by_filter(alpha, content))
             assert all(tableaux.is_immaculate(rows) for rows in ours)
+            nonzero, relabel = tableaux.relabelling(content)
+            assert ours == relabel(tableaux.enumerate_immaculate(alpha, nonzero))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -137,6 +139,8 @@ def test_enumerate_ssyt_against_filter_oracle(n):
             assert ours == tableaux._fill(lam, content, strict=True)
             assert sorted(ours) == sorted(ssyt_by_filter(lam, content))
             assert all(tableaux.is_ssyt(rows) for rows in ours)
+            nonzero, relabel = tableaux.relabelling(content)
+            assert ours == relabel(tableaux.enumerate_ssyt(lam, nonzero))
             # the prune is exact for SSYT: a cell is empty just when it fails
             assert bool(ours) == core.dominates(lam, core.dec(content))
 
