@@ -138,6 +138,8 @@ def _verify_involutions(n: int, workers: int) -> dict | None:
 
 def cmd_verify(args) -> int:
     _check_cap(args.n, args.cap, args.identity not in ("kkinv", "kinvk"))
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     if args.identity == "involutions":
         bad = _verify_involutions(args.n, args.workers)
     else:

@@ -32,8 +32,14 @@ for C/D/E), and the fillings of each (shape, composition content) read so
 far, which A/B relabel to their weights.  The index holds one (family,
 degree) at a time, and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
-membership: an image must be one of the cell's enumerated pairs, and the
-walk of ``rho``, whose interior lies in E, must replay in ``validate_trace``.
+membership: an image must be one of the cell's enumerated pairs, and each
+interior pair of ``rho``'s walk, which lies in E, must pass ``validate_walk``
+as an E pair of the cell's indices.  The walk is not replayed there, as
+``rho`` has just built it from the pure maps; ``validate_trace`` adds the
+replay for a trace read from outside.  The maps build their image
+coverings with ``TunnelHookCovering._of``, which skips the constructor's
+checks: an image is valid by construction, and membership compares it with
+the members, whose coverings the constructor built.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
@@ -73,7 +79,7 @@ from .tableaux import (
     relabelling,
     shape_of,
 )
-from .tunnelhooks import TunnelHookCovering, delta_choices, thc_from_perm
+from .tunnelhooks import TunnelHookCovering, delta_choices
 
 
 @dataclass(frozen=True)
@@ -145,16 +151,16 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     raise ValueError(f"unknown pair family {kind!r}")
 
 
-def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
-    """Check a ``rho`` walk; return the (left, right) indices all its pairs
-    share.
+def validate_walk(trace: Trace) -> tuple[IntSeq, IntSeq]:
+    """Check a ``rho`` walk without applying its maps; return the (left,
+    right) indices all its pairs share.
 
     The walk runs from D to D through E, so an interior pair labelled D is
     checked as an E pair.  Raises ValueError when the trace is malformed,
     a pair fails :func:`validate_pair`, two pairs have different indices
-    (``psi`` and ``theta`` conserve both contents), the maps do not read
-    ``psi, theta, psi, ...`` as ``rho``'s do, or a step does not replay:
-    pairs[k + 1] must be maps[k] applied to pairs[k].
+    (``psi`` and ``theta`` conserve both contents), or the maps do not read
+    ``psi, theta, psi, ...`` as ``rho``'s do.  :func:`validate_trace` adds
+    the replay of each step.
     """
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
@@ -169,13 +175,23 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     for k, name in enumerate(trace.maps):
         if name != ("psi", "theta")[k % 2]:
             raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
-        if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
-            raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
     return indices.pop()
 
 
+def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
+    """Check a ``rho`` walk read from outside: :func:`validate_walk`, then
+    the replay, which raises ValueError unless each step gives the next
+    pair, pairs[k + 1] being maps[k] applied to pairs[k]."""
+    indices = validate_walk(trace)
+    pairs = trace.pairs
+    for k, name in enumerate(trace.maps):
+        if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
+            raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
+    return indices
+
+
 def _misplaced(check: Callable, subject: Pair | Trace, cell: tuple[IntSeq, IntSeq]) -> str | None:
-    """Why ``check(subject)`` (``validate_pair`` of a pair, ``validate_trace``
+    """Why ``check(subject)`` (``validate_pair`` of a pair, ``validate_walk``
     of a trace) does not give the cell's indices; None when it does."""
     try:
         indices = check(subject)
@@ -278,7 +294,7 @@ def phi(pair: Pair) -> Pair:
         return pair
     m, q_m, p = selection
     sigma = pair.thc.perm
-    covering = thc_from_perm(pair.thc.shape, swap_values(sigma, sigma[q_m - 1] - 1))
+    covering = TunnelHookCovering._of(pair.thc.shape, swap_values(sigma, sigma[q_m - 1] - 1))
     row = list(pair.tableau[m - 1])
     row.remove(q_m)
     row.append(p)
@@ -307,7 +323,7 @@ def chi(pair: Pair) -> Pair:
     if selection is None:
         return pair
     m, q_m = selection
-    covering = thc_from_perm(pair.thc.shape, swap_values(pair.thc.perm, q_m - 1))
+    covering = TunnelHookCovering._of(pair.thc.shape, swap_values(pair.thc.perm, q_m - 1))
     row = list(pair.tableau[m - 1])
     row[row.index(q_m)] = q_m - 1
     rows = pair.tableau[: m - 1] + (tuple(row),) + pair.tableau[m:]
@@ -324,17 +340,18 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
     M - l + i (M the maximal entry, l the number of rows), that value occurs
     nowhere else, and the permutation fixes i.  v is the moving value
     M - l + k and r the row containing v whose permutation image is least.
+    Rows weakly increase, so a row's last entry is its maximum, and it holds
+    nothing but v exactly when its first and last entries are v.
     """
     rows = pair.tableau
     sigma = pair.thc.perm
     ell = len(rows)
-    top = max(max(row) for row in rows)
+    top = max(row[-1] for row in rows)
 
     def frozen(i: int) -> bool:
         v = top - ell + i
-        if sigma[i - 1] != i:
-            return False
-        if any(x != v for x in rows[i - 1]):
+        row = rows[i - 1]
+        if sigma[i - 1] != i or row[0] != v or row[-1] != v:
             return False
         return all(v not in rows[j] for j in range(ell) if j != i - 1)
 
@@ -344,8 +361,7 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
     if k == 0:
         return None
     v = top - ell + k
-    sources = [j for j in range(1, ell + 1) if v in rows[j - 1]]
-    r = min(sources, key=lambda j: sigma[j - 1])
+    _, r = min((sigma[j - 1], j) for j in range(1, ell + 1) if v in rows[j - 1])
     return k, v, r
 
 
@@ -381,7 +397,7 @@ def psi(pair: Pair) -> Pair:
             del new_rows[r - 1]
             perm = delete_fixed_point(perm, r)
     rows_out = tuple(new_rows)
-    return Pair(pair.kind, thc_from_perm(shape_of(rows_out), perm), rows_out)
+    return Pair(pair.kind, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
 
 
 # -- theta on E \ D ---------------------------------------------------------
@@ -408,9 +424,7 @@ def theta(pair: Pair) -> Pair:
     new_above = above[: i - 1] + row[i:]
     new_row = row[:i] + above[i - 1 :]
     new_rows = rows[: t - 2] + (new_above, new_row) + rows[t:]
-    covering = thc_from_perm(
-        shape_of(new_rows), swap_positions(pair.thc.perm, t - 1)
-    )
+    covering = TunnelHookCovering._of(shape_of(new_rows), swap_positions(pair.thc.perm, t - 1))
     return Pair(pair.kind, covering, new_rows)
 
 
@@ -514,8 +528,12 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     the Kronecker delta.  Closure is membership: each image must be one of
     the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
     as they entered its memo.  For ``rho``, whose walks pass through E,
-    the walk from p must pass :func:`validate_trace` and the walk back
+    the walk from p must pass :func:`validate_walk` (every interior pair an
+    E pair of the cell's indices, the maps alternating) and the walk back
     from q must be it reversed (``psi`` and ``theta`` are involutions).
+    The walk is not replayed as :func:`validate_trace` replays an outside
+    one: ``rho`` built it by applying ``psi`` and ``theta``, which are pure,
+    so applying them again to its pairs can only give the same pairs.
     An image outside the set is reported as leaving it when it fails
     :func:`validate_pair` or has other indices, else as missing from it.
 
@@ -535,8 +553,8 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     left, right = cell
     report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left))
     pairs = enumerate_pairs(kind, left, right)
-    members = set(pairs)
-    done: set[Pair] = set()  # partners already checked with their orbit
+    position = {pair: i for i, pair in enumerate(pairs)}  # the members, and where each sits
+    done = [False] * len(pairs)  # partners already checked with their orbit
     signed = 0
     complain = report.violations.append
 
@@ -548,11 +566,11 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     def walk(pair: Pair) -> tuple[Pair, Trace | None]:
         return apply(pair) if map_name == "rho" else (apply(pair), None)
 
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         report.pairs_checked += 1
         sign = pair.thc.sign()
         signed += sign
-        if pair in done:
+        if done[i]:
             continue
         image, trace = walk(pair)
         back, back_trace = walk(image)
@@ -560,11 +578,12 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
             return fail(f"{map_name} is not an involution at {left},{right}", pair)
         if trace is not None:  # the walks of rho pass through E, outside the set
             report.max_walk = max(report.max_walk, len(trace.maps))
-            if _misplaced(validate_trace, trace, (left, right)) is not None:
+            if _misplaced(validate_walk, trace, (left, right)) is not None:
                 return fail(f"image leaves {kind}[{left},{right}]", pair)
             if back_trace != Trace(trace.pairs[::-1], trace.maps[::-1]):
                 return fail(f"image leaves {kind}[{left},{right}]", image)
-        if image not in members:
+        j = position.get(image)
+        if j is None:
             outside = _misplaced(validate_pair, image, (left, right)) is not None
             where = "leaves" if outside else "missing from the enumerated"
             return fail(f"image {where} {kind}[{left},{right}]", pair)
@@ -576,7 +595,7 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
                 return fail(f"fixed point of negative sign at {left}", pair)
         elif image.thc.sign() != -sign:
             return fail(f"{map_name} failed to reverse sign at {left},{right}", pair)
-        done.add(image)
+        done[j] = True
     expected = 1 if left == right else 0
     if signed != expected:
         complain(f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}")

@@ -180,7 +180,13 @@ def _hook_at(diagram: GBPRDiagram, r: int, p: int) -> TunnelHook:
 
 @dataclass(frozen=True)
 class TunnelHookCovering:
-    """A covering in canonical (shape, permutation) form."""
+    """A covering in canonical (shape, permutation) form.
+
+    The constructor checks that the shape is a composition and the
+    permutation one of its length.  :meth:`_of` is the trusted builder that
+    skips those checks; only the four pair maps of ``involutions`` (``phi``,
+    ``chi``, ``psi`` and ``theta``) call it, for their image coverings.
+    """
 
     shape: IntSeq
     perm: Perm
@@ -192,6 +198,28 @@ class TunnelHookCovering:
             raise ValueError("shape and permutation lengths differ")
         if not is_perm(self.perm):
             raise ValueError(f"{self.perm} is not a permutation")
+
+    @classmethod
+    def _of(cls, shape: IntSeq, perm: Perm) -> TunnelHookCovering:
+        """The covering (shape, perm), built without the constructor's checks.
+
+        For the image of a pair map applied to a pair of its family, whose
+        covering passed the constructor.  The image is valid by construction:
+        ``swap_values``, ``swap_positions``, ``embed`` and
+        ``delete_fixed_point`` turn a permutation into a permutation of the
+        right length, and every image shape is the covering's own or
+        ``shape_of`` nonempty rows (``psi`` raises when opening a row would
+        empty its source row and otherwise deletes the emptied row; ``theta``
+        acts from column 2 onwards, as column 1 of an immaculate filling
+        strictly increases).  The verifier does not rest on that argument:
+        ``verify_cell`` requires every final image to equal a member of the
+        cell, and each member's covering was built by the constructor in
+        ``involutions._index``.
+        """
+        covering = object.__new__(cls)
+        object.__setattr__(covering, "shape", shape)
+        object.__setattr__(covering, "perm", perm)
+        return covering
 
     def delta(self) -> IntSeq:
         """Per-row weights: delta_i = shape_i + perm_i - i.  May be negative."""

@@ -325,6 +325,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
          None, 2),
         (["verify", "--identity", "involutions", "--n", "2", "--workers", "0"], None, 2),
         (["verify", "--identity", "involutions", "--n", "2", "--workers", "-3"], None, 2),
+        (["verify", "--identity", "kkinv", "--n", "3", "--workers", "0"], None, 2),
+        (["verify", "--identity", "nk-nkinv", "--n", "3", "--workers", "0"], None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import pairs_by_scan, verify_cell_per_pair
 
 from kostka import core, involutions as inv, matrices as mx, tableaux
-from kostka.tunnelhooks import delta_choices, thc_from_perm
+from kostka.tunnelhooks import TunnelHookCovering, delta_choices, thc_from_perm
 
 # -- the running examples ---------------------------------------------------
 
@@ -624,6 +624,90 @@ def test_verify_cell_checks_the_partner_side_of_an_orbit(monkeypatch):
         assert report.pair == q
 
 
+def test_verify_cell_checks_a_walk_without_replaying_it(monkeypatch):
+    # forward and back walks agree, but pass through a pair of another cell:
+    # the walk check names the pair, and verify_cell never replays
+    cell = ((3, 2), (2, 2, 1))
+    p, q = _first_orbit("rho", cell)
+    stranger = inv.enumerate_pairs("D", (3, 2), (3, 1, 1))[0]
+    maps = ("psi", "theta", "psi")
+
+    def broken(pair):
+        if pair in (p, q):
+            other = q if pair == p else p
+            return other, inv.Trace((pair, stranger, stranger, other), maps)
+        return inv.rho(pair)
+
+    def no_replay(trace):
+        raise AssertionError("verify_cell replayed a walk")
+
+    monkeypatch.setitem(inv._MAPS, "rho", ("D", broken))
+    monkeypatch.setattr(inv, "validate_trace", no_replay)
+    report = inv.verify_cell("rho", cell)
+    assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {p}"]
+    assert report.pair == p
+
+
+def _repeating(pair):
+    """The pair with a covering whose permutation repeats its first value,
+    built as the maps build their images, past the constructor's checks."""
+    perm = pair.thc.perm
+    return dataclasses.replace(pair, thc=TunnelHookCovering._of(pair.thc.shape, perm[:1] * 2 + perm[2:]))
+
+
+def test_membership_catches_a_phi_image_that_is_no_covering(monkeypatch):
+    # phi sends p to its image with a repeated permutation value, and back
+    cell = ((2,), (1, 1))
+    p, q = _first_orbit("phi", cell)
+    bad = _repeating(q)
+    with pytest.raises(ValueError, match="not a permutation"):
+        thc_from_perm(bad.thc.shape, bad.thc.perm)
+    phi = inv.phi
+    monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: {p: bad, bad: p}.get(pair) or phi(pair)))
+    report = inv.verify_cell("phi", cell)
+    assert report.violations == [f"image leaves A[{cell[0]},{cell[1]}]: {p}"]
+    assert report.pair == p
+
+
+def test_membership_catches_a_bad_covering_inside_a_rho_walk(monkeypatch):
+    # psi's first step of p's walk gives a repeated permutation value; the
+    # walk then rejoins its real course, so only the interior pair is bad
+    cell = ((2, 2), (1, 1, 1, 1))
+    p = inv.enumerate_pairs("D", *cell)[4]
+    q, trace = inv.rho(p)
+    assert len(trace.maps) == 3
+    x, y = trace.pairs[1:3]
+    bad_x = _repeating(x)
+    bad_y = inv.theta(bad_x)
+    psi = inv.psi
+
+    def broken(pair):
+        if pair == p:
+            return bad_x
+        return psi(y if pair == bad_y else pair)
+
+    monkeypatch.setattr(inv, "psi", broken)
+    assert inv.rho(p) == (q, inv.Trace((p, bad_x, bad_y, q), trace.maps))
+    report = inv.verify_cell("rho", cell)
+    assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {p}"]
+    assert report.pair == p
+
+
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
+def test_map_images_pass_the_public_constructor(map_name):
+    # the maps build their images past the constructor's checks; at n <= 5
+    # every image, and every pair of a rho walk, would have passed them
+    kind = inv._family(map_name)
+    for cell in inv.index_cells(map_name, 5):
+        for pair in inv.enumerate_pairs(kind, *cell):
+            if map_name == "rho":
+                images = inv.rho(pair)[1].pairs
+            else:
+                images = (getattr(inv, map_name)(pair),)
+            for image in images:
+                assert thc_from_perm(image.thc.shape, image.thc.perm) == image.thc
+
+
 def test_verify_cell_rejects_an_image_missing_from_the_set(monkeypatch):
     # the pair set loses q, the image of p: every image still validates, so
     # only the membership check names the pair (the per-pair check finds
@@ -719,6 +803,18 @@ def test_validate_trace_checks_interior_pairs_as_e_pairs():
         inv.validate_pair(trace.pairs[1])
     with pytest.raises(ValueError, match="different indices"):
         inv.validate_trace(inv.Trace((RHO_STORY, RHO_SMALL), ("psi",)))
+
+
+def test_only_validate_trace_replays_the_steps():
+    # two interior pairs swapped: every pair still validates with the walk's
+    # indices and the maps still alternate, but the steps no longer replay
+    _, trace = inv.rho(RHO_STORY)
+    pairs = list(trace.pairs)
+    pairs[1], pairs[3] = pairs[3], pairs[1]
+    swapped = inv.Trace(tuple(pairs), trace.maps)
+    assert inv.validate_walk(swapped) == inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
+    with pytest.raises(ValueError, match="step 1 does not replay"):
+        inv.validate_trace(swapped)
 
 
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])

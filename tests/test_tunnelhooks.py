@@ -180,6 +180,23 @@ def test_build_thc_rejects_illegal_terminal():
         th.build_thc((2, 2, 2), [(3, 2), (1, 1), (3, 1)])
 
 
+@pytest.mark.parametrize(
+    "shape, perm, reason",
+    [
+        ((2, 1), (1, 1), "not a permutation"),
+        ((2, 1), (2, 3), "not a permutation"),
+        ((2, 0, 1), (1, 2, 3), "not a composition"),
+        ((2, 1), (1, 2, 3), "lengths differ"),
+    ],
+)
+def test_public_constructors_keep_their_checks(shape, perm, reason):
+    # only the pair maps' trusted builder skips them
+    for build in (th.TunnelHookCovering, th.thc_from_perm):
+        with pytest.raises(ValueError, match=reason):
+            build(shape, perm)
+    assert th.TunnelHookCovering._of(shape, perm).perm == perm
+
+
 def test_wide_covering_via_explicit_terminals():
     covering, hooks = th.build_thc(
         (8, 7, 7, 4), [(1, 1), (3, 1), (4, 1), (4, 3)]
