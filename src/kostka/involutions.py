@@ -33,13 +33,13 @@ far, which A/B relabel to their weights.  The index holds one (family,
 degree) at a time, and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and each
-interior pair of ``rho``'s walk, which lies in E, must pass ``validate_walk``
-as an E pair of the cell's indices.  The walk is not replayed there, as
-``rho`` has just built it from the pure maps; ``validate_trace`` adds the
-replay for a trace read from outside.  The maps build their image
-coverings with ``TunnelHookCovering._of``, which skips the constructor's
-checks: an image is valid by construction, and membership compares it with
-the members, whose coverings the constructor built.
+interior pair of ``rho``'s walk, which lies in E, must pass ``validate_pair``
+as an E pair of the cell's indices; membership certifies the walk's ends.
+``validate_trace`` checks a trace read from outside: every pair, the
+alternation of the maps, and the replay of each step.  The maps build
+their image coverings with ``TunnelHookCovering._of``, which skips the
+constructor's checks: an image is valid by construction, and membership
+compares it with the members, whose coverings the constructor built.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
@@ -54,6 +54,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .core import (
+    DegreeError,
     IntSeq,
     compositions_of,
     dec,
@@ -151,50 +152,40 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     raise ValueError(f"unknown pair family {kind!r}")
 
 
-def validate_walk(trace: Trace) -> tuple[IntSeq, IntSeq]:
-    """Check a ``rho`` walk without applying its maps; return the (left,
-    right) indices all its pairs share.
+def _interior(trace: Trace) -> tuple[Pair, ...]:
+    """The pairs strictly inside a ``rho`` walk, read as E pairs: the walk
+    runs from D to D through E, but ``rho`` labels every pair D."""
+    return tuple(replace(p, kind="E") if p.kind == "D" else p for p in trace.pairs[1:-1])
 
-    The walk runs from D to D through E, so an interior pair labelled D is
-    checked as an E pair.  Raises ValueError when the trace is malformed,
-    a pair fails :func:`validate_pair`, two pairs have different indices
-    (``psi`` and ``theta`` conserve both contents), or the maps do not read
-    ``psi, theta, psi, ...`` as ``rho``'s do.  :func:`validate_trace` adds
-    the replay of each step.
+
+def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
+    """Check a ``rho`` walk read from outside; return the (left, right)
+    indices all its pairs share.  Raises ValueError, at the first check
+    that fails, when the trace is malformed, a pair fails
+    :func:`validate_pair` (the :func:`_interior` ones as E pairs), two pairs
+    have different indices (``psi`` and ``theta`` conserve both contents),
+    the maps do not alternate ``psi, theta, ...`` as ``rho``'s do, or a
+    step does not replay: pairs[k + 1] must be maps[k] applied to pairs[k].
     """
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
         raise ValueError("a trace holds one or more pairs and one map between each two")
-    indices = set()
-    for k, pair in enumerate(pairs):
-        if 0 < k < len(pairs) - 1 and pair.kind == "D":
-            pair = replace(pair, kind="E")
-        indices.add(validate_pair(pair))
+    indices = {validate_pair(pair) for pair in (pairs[0], *_interior(trace), pairs[-1])}
     if len(indices) != 1:
         raise ValueError("trace pairs have different indices")
     for k, name in enumerate(trace.maps):
         if name != ("psi", "theta")[k % 2]:
             raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
-    return indices.pop()
-
-
-def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
-    """Check a ``rho`` walk read from outside: :func:`validate_walk`, then
-    the replay, which raises ValueError unless each step gives the next
-    pair, pairs[k + 1] being maps[k] applied to pairs[k]."""
-    indices = validate_walk(trace)
-    pairs = trace.pairs
     for k, name in enumerate(trace.maps):
         if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
             raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
-    return indices
+    return indices.pop()
 
 
-def _misplaced(check: Callable, subject: Pair | Trace, cell: tuple[IntSeq, IntSeq]) -> str | None:
-    """Why ``check(subject)`` (``validate_pair`` of a pair, ``validate_walk``
-    of a trace) does not give the cell's indices; None when it does."""
+def _misplaced(pair: Pair, cell: tuple[IntSeq, IntSeq]) -> str | None:
+    """Why the pair fails :func:`validate_pair` or lies outside the cell; None if it lies in it."""
     try:
-        indices = check(subject)
+        indices = validate_pair(pair)
     except ValueError as err:
         return str(err)
     return None if indices == cell else f"its indices are {indices}"
@@ -258,7 +249,7 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
         if rows is None:
             rows = fill(*key)
             for filling, read in zip(rows, relabel(rows)):
-                why = _misplaced(validate_pair, Pair(kind, covering, read), (left, right))
+                why = _misplaced(Pair(kind, covering, read), (left, right))
                 if why is not None:
                     raise RuntimeError(f"{fill.__name__}{key} gave {filling}, "
                                        f"outside {kind}[{left},{right}]: {why}")
@@ -510,8 +501,10 @@ def _family(map_name: str) -> str:
 
 def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
     """Every (left, right) index pair of the map's family at degree <= n,
-    degree by degree, each in label order."""
+    degree by degree, each in label order.  DegreeError if n < 1."""
     kind = _family(map_name)
+    if n < 1:
+        raise DegreeError(f"degree must be >= 1, got {n}")
     cells: list[tuple[IntSeq, IntSeq]] = []
     for degree in range(1, n + 1):
         indices = _shapes(kind, degree)
@@ -528,12 +521,12 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     the Kronecker delta.  Closure is membership: each image must be one of
     the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
     as they entered its memo.  For ``rho``, whose walks pass through E,
-    the walk from p must pass :func:`validate_walk` (every interior pair an
-    E pair of the cell's indices, the maps alternating) and the walk back
-    from q must be it reversed (``psi`` and ``theta`` are involutions).
-    The walk is not replayed as :func:`validate_trace` replays an outside
-    one: ``rho`` built it by applying ``psi`` and ``theta``, which are pure,
-    so applying them again to its pairs can only give the same pairs.
+    each :func:`_interior` pair of the walk from p must pass
+    :func:`validate_pair` with the cell's indices, and the walk back from q
+    must be it reversed (``psi`` and ``theta`` are involutions).  The rest
+    of :func:`validate_trace` would prove nothing new: membership certifies
+    the walk's ends, ``rho``'s loop alternates the maps, and a replay of
+    the pure ``psi`` and ``theta`` can only give the same pairs.
     An image outside the set is reported as leaving it when it fails
     :func:`validate_pair` or has other indices, else as missing from it.
 
@@ -578,13 +571,13 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
             return fail(f"{map_name} is not an involution at {left},{right}", pair)
         if trace is not None:  # the walks of rho pass through E, outside the set
             report.max_walk = max(report.max_walk, len(trace.maps))
-            if _misplaced(validate_walk, trace, (left, right)) is not None:
+            if any(_misplaced(step, (left, right)) is not None for step in _interior(trace)):
                 return fail(f"image leaves {kind}[{left},{right}]", pair)
             if back_trace != Trace(trace.pairs[::-1], trace.maps[::-1]):
                 return fail(f"image leaves {kind}[{left},{right}]", image)
         j = position.get(image)
         if j is None:
-            outside = _misplaced(validate_pair, image, (left, right)) is not None
+            outside = _misplaced(image, (left, right)) is not None
             where = "leaves" if outside else "missing from the enumerated"
             return fail(f"image {where} {kind}[{left},{right}]", pair)
         if image == pair:
@@ -610,7 +603,8 @@ def verify_involution(map_name: str, n: int, workers: int = 1) -> InvolutionRepo
     the report names as ``cell`` beside the counts of the cells checked.
     With ``workers`` > 1 a pool of ``min(workers, cells, CPUs)`` processes
     checks the cells in chunks, read back in order, so the report is the
-    serial one; the pool ends at the first violation.  ValueError if ``workers`` < 1."""
+    serial one; the pool ends at the first violation.  ValueError if
+    ``workers`` < 1, DegreeError (from :func:`index_cells`) if n < 1."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = index_cells(map_name, n)

@@ -160,6 +160,10 @@ def tikz_srht(tableau: SpecialRimHookTableau) -> str:
 
 
 def tikz_pair(pair: Pair) -> str:
+    """A/B: the tableau, then the covering, as :func:`render_pair` draws
+    them (their shapes differ); C/D/E: the entries on the covering."""
+    if pair.kind in ("A", "B"):
+        return tikz_tableau(pair.tableau) + "\n" + tikz_thc(pair.thc)
     body = _tikz_grid(pair.thc.shape, None)
     for i, row in enumerate(pair.tableau, start=1):
         for j, v in enumerate(row, start=1):

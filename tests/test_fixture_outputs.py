@@ -18,8 +18,8 @@ DATA = Path(__file__).parent / "data"
 PINNED = {
     "big_srht.json": ((0, "21c9c0d3316cbddf"), (0, "e587f7fc42565ae8"), (0, "31729845339c5a84")),
     "big_thc.json": ((0, "891d9e0a5116a220"), (0, "bb3c2accf1dfe48b"), (0, "c74789b905ae0b2a")),
-    "chi_output.json": ((0, "cdd63f2e26994a96"), (0, "0fb2383b321cfef7"), (0, "fa2786de1ccd109c")),
-    "chi_pair.json": ((0, "d0d747ea57bc710f"), (0, "861b9a9c65769478"), (0, "fa2786de1ccd109c")),
+    "chi_output.json": ((0, "cdd63f2e26994a96"), (0, "1ef43cddcca79357"), (0, "fa2786de1ccd109c")),
+    "chi_pair.json": ((0, "d0d747ea57bc710f"), (0, "798ae9aef4af0a72"), (0, "fa2786de1ccd109c")),
     "covering_8774.json": ((0, "0c1c121e30f30658"), (0, "bfb1d2da990b1f7e"),
                            (0, "c74789b905ae0b2a")),
     "divergence_alt_output.json": ((0, "540ae83bc469cdcf"), (0, "542dd67d8f6f573c"),
@@ -28,8 +28,8 @@ PINNED = {
                               (0, "e4db9dfabd4ef5c7")),
     "divergence_output.json": ((0, "db8ca5622b008289"), (0, "1fde5c667ec422b7"),
                                (0, "e4db9dfabd4ef5c7")),
-    "phi_output.json": ((0, "00bb5adf22f90a35"), (0, "6ff5548de75de607"), (0, "cce86ded716905ce")),
-    "phi_pair.json": ((0, "08c10119c6b0e181"), (0, "60a7191fb6ce110c"), (0, "cce86ded716905ce")),
+    "phi_output.json": ((0, "00bb5adf22f90a35"), (0, "efef8eb946efbcfa"), (0, "cce86ded716905ce")),
+    "phi_pair.json": ((0, "08c10119c6b0e181"), (0, "53f8a648de95e251"), (0, "cce86ded716905ce")),
     "psi_grow_output.json": ((0, "fb743856fd763326"), (0, "094ec19ff961c3d9"),
                              (0, "d8d85f143a05a080")),
     "psi_grow_pair.json": ((0, "836d8afebe70dc7f"), (0, "cfe3ca6831045de8"),

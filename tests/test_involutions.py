@@ -757,13 +757,20 @@ def test_a_faulty_filling_is_caught_as_it_enters_the_memo(monkeypatch, cell, key
         inv._index.cache_clear()
 
 
-# (fillings validated, pairs checked) at degree <= 5: the memo keys every
-# family by composition content, so A validates C's 291 fillings, and B's
-# fillings of the nonzero weights serve more than one covering
-VALIDATED_AND_CHECKED = {"phi": (291, 969), "chi": (171, 274), "psi": (291, 985)}
+# (fillings validated, pairs checked, interior pairs validated) at degree
+# <= 5: the memo keys every family by composition content, so A validates
+# C's 291 fillings, and B's fillings of the nonzero weights serve more than
+# one covering; inside verify_cell only rho validates, once per interior
+# pair of its forward walks, as membership certifies the walks' ends
+VALIDATED_CHECKED_INTERIOR = {
+    "phi": (291, 969, 0),
+    "chi": (171, 274, 0),
+    "psi": (291, 985, 0),
+    "rho": (89, 258, 90),
+}
 
 
-@pytest.mark.parametrize("map_name", ["phi", "chi", "psi"])
+@pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
 def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_name):
     calls = []
     validate_pair = inv.validate_pair
@@ -774,7 +781,7 @@ def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_na
 
     monkeypatch.setattr(inv, "validate_pair", counted)
     kind = inv._family(map_name)
-    validated = checked = 0
+    validated = checked = interior = 0
     inv._index.cache_clear()
     by_degree = itertools.groupby(inv.index_cells(map_name, 5), lambda cell: sum(cell[0]))
     for degree, cells in by_degree:
@@ -789,11 +796,15 @@ def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_na
             report = inv.verify_cell(map_name, cell)
             assert report.ok, report.violations
             checked += report.pairs_checked
-        assert not calls  # every image is a member, so none is validated
-    assert (validated, checked) == VALIDATED_AND_CHECKED[map_name]
+        # every image is a member, so none is validated; a walk's interior
+        # pairs lie in E, outside the set, so each is
+        assert all(pair.kind == "E" for pair in calls)
+        interior += len(calls)
+        calls.clear()
+    assert (validated, checked, interior) == VALIDATED_CHECKED_INTERIOR[map_name]
     inv._index.cache_clear()
     report = inv.verify_involution(map_name, 5)
-    assert (len(calls), report.pairs_checked) == (validated, checked)
+    assert (len(calls), report.pairs_checked) == (validated + interior, checked)
 
 
 def test_validate_trace_checks_interior_pairs_as_e_pairs():
@@ -807,14 +818,28 @@ def test_validate_trace_checks_interior_pairs_as_e_pairs():
 
 def test_only_validate_trace_replays_the_steps():
     # two interior pairs swapped: every pair still validates with the walk's
-    # indices and the maps still alternate, but the steps no longer replay
+    # indices and the maps still alternate, so only validate_trace's last
+    # check, the replay, refuses the walk
     _, trace = inv.rho(RHO_STORY)
     pairs = list(trace.pairs)
     pairs[1], pairs[3] = pairs[3], pairs[1]
     swapped = inv.Trace(tuple(pairs), trace.maps)
-    assert inv.validate_walk(swapped) == inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
+    assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
     with pytest.raises(ValueError, match="step 1 does not replay"):
         inv.validate_trace(swapped)
+
+
+def test_validate_trace_checks_the_end_pairs():
+    # cut after its first interior pair, a walk still replays and alternates
+    # and its pairs share one index pair: only the end check refuses it, as
+    # the new end pair lies in E, not in D
+    _, trace = inv.rho(RHO_STORY)
+    cut = inv.Trace(trace.pairs[:2], trace.maps[:1])
+    assert inv.psi(cut.pairs[0]) == cut.pairs[1]
+    as_e = dataclasses.replace(cut.pairs[1], kind="E")
+    assert inv.validate_pair(as_e) == inv.pair_indices(RHO_STORY)
+    with pytest.raises(ValueError, match="column-strict"):
+        inv.validate_trace(cut)
 
 
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
@@ -847,3 +872,10 @@ def test_a_failing_pool_stops_at_the_serial_cell_and_ends(monkeypatch):
 def test_verify_involution_rejects_unknown_map():
     with pytest.raises(ValueError):
         inv.verify_involution("omega", 3)
+
+
+@pytest.mark.parametrize("map_name, n", [("phi", 0), ("phi", -3), ("rho", 0)])
+def test_verify_involution_refuses_a_degree_below_one(map_name, n):
+    # no cell at all would be a vacuous pass over 0 pairs
+    with pytest.raises(core.DegreeError, match=f"degree must be >= 1, got {n}"):
+        inv.verify_involution(map_name, n)
