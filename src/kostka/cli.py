@@ -16,13 +16,14 @@ Subcommands::
 
 Every command is deterministic given identical inputs and flags.  Exit
 codes: 0 pass, 1 counterexample found, 2 usage error (including degree-cap
-refusals; raise --cap explicitly for large degrees).
+refusals; raise --cap explicitly for large degrees) or stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from . import involutions as inv
 from . import matrices as mx
 from . import render as rd
 from . import serialize as sz
-from .core import NoPreimageError, compositions_of, is_composition, partitions_of
+from .core import DegreeError, NoPreimageError, compositions_of, is_composition, partitions_of
 from .rimhooks import (
     SpecialRimHookTableau,
     enumerate_srht,
@@ -53,26 +54,14 @@ _MATRIX_BUILDERS = {
 }
 
 
-def _cost_estimate(n: int, nsym: bool) -> str:
-    if nsym:
-        return (
-            f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition "
-            f"labels (cost grows roughly 5x per degree)"
-        )
-    return f"~{len(partitions_of(n)) ** 2} entry counts over partition labels"
-
-
 def _check_cap(n: int, cap: int, nsym: bool) -> None:
     if n < 1:
-        print("degree must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
+        raise DegreeError(f"degree must be >= 1, got {n}")
     if n > cap:
-        print(
-            f"refusing degree {n} > cap {cap}: {_cost_estimate(n, nsym)}; "
-            f"pass --cap {n} to proceed",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        cost = (f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition labels "
+                "(cost grows roughly 5x per degree)" if nsym
+                else f"~{len(partitions_of(n)) ** 2} entry counts over partition labels")
+        raise ValueError(f"refusing degree {n} > cap {cap}: {cost}; pass --cap {n} to proceed")
 
 
 def _read_json(path: str):
@@ -372,10 +361,17 @@ def main(argv=None) -> int:
     means its outside input was malformed, and exits 2 with one line; so does
     a RecursionError, as the tableau backtracker recurses once per cell
     after each row's run of its least value, and ``delta_choices`` once per
-    row."""
+    row.  A reader that closes stdout early also exits 2: output never
+    delivered is neither a pass nor a counterexample."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # quiet the interpreter's last flush of what stdout still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output not delivered: the reader closed stdout", file=sys.stderr)
     except NoPreimageError as err:
         print(f"no preimage: {err}", file=sys.stderr)
     except ValueError as err:

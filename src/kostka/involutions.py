@@ -13,7 +13,7 @@ sequence of the covering:
 * D(lam, mu) / E(lam, mu): as C but the covering's content rearranges to
   lam and the tableau has content mu; D additionally requires the tableau
   to be semistandard.  Map on D: ``rho``, which alternates ``psi`` with the
-  cell-block swap ``theta`` until it lands back in D.
+  cell-block swap ``theta`` through E until it lands back in D.
 
 Each map fixes exactly the diagonal pairs (left index equal to right index)
 and flips the covering's sign everywhere else, so the signed pair counts
@@ -33,12 +33,12 @@ far, which A/B relabel to their weights.  The index holds one (family,
 degree) at a time, and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and each
-interior pair of ``rho``'s walk, which lies in E, must pass ``validate_pair``
-as an E pair of the cell's indices; membership certifies the walk's ends.
-``validate_trace`` checks a trace read from outside: every pair, the
-alternation of the maps, and the replay of each step.  The maps build
-their image coverings with ``TunnelHookCovering._of``, which skips the
-constructor's checks: an image is valid by construction, and membership
+interior pair of ``rho``'s walk, an E pair, must pass ``validate_pair``
+with the cell's indices; membership certifies the walk's D ends.
+``validate_trace`` checks a trace read from outside: its D ends, every
+pair, the alternation of the maps, and the replay of each step.  The maps
+build their image coverings with ``TunnelHookCovering._of``, which skips
+the constructor's checks: an image is valid by construction, and membership
 compares it with the members, whose coverings the constructor built.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
@@ -49,7 +49,7 @@ the map runs twice per orbit rather than twice per pair.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -93,7 +93,8 @@ class Pair:
 @dataclass(frozen=True)
 class Trace:
     """A walk produced by ``rho``: pairs[0] is the input, pairs[-1] the
-    output, and maps[i] named the step from pairs[i] to pairs[i+1]."""
+    output, both D pairs, the pairs between them E pairs, and maps[i]
+    named the step from pairs[i] to pairs[i+1]."""
 
     pairs: tuple[Pair, ...]
     maps: tuple[str, ...]
@@ -152,25 +153,21 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     raise ValueError(f"unknown pair family {kind!r}")
 
 
-def _interior(trace: Trace) -> tuple[Pair, ...]:
-    """The pairs strictly inside a ``rho`` walk, read as E pairs: the walk
-    runs from D to D through E, but ``rho`` labels every pair D."""
-    return tuple(replace(p, kind="E") if p.kind == "D" else p for p in trace.pairs[1:-1])
-
-
 def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     """Check a ``rho`` walk read from outside; return the (left, right)
     indices all its pairs share.  Raises ValueError, at the first check
-    that fails, when the trace is malformed, a pair fails
-    :func:`validate_pair` (the :func:`_interior` ones as E pairs), two pairs
-    have different indices (``psi`` and ``theta`` conserve both contents),
-    the maps do not alternate ``psi, theta, ...`` as ``rho``'s do, or a
-    step does not replay: pairs[k + 1] must be maps[k] applied to pairs[k].
-    """
+    that fails, when the trace is malformed, does not start and end in D, a
+    pair fails :func:`validate_pair` as labelled (E inside the walk), two
+    pairs have different indices (``psi`` and ``theta`` conserve both
+    contents), the maps do not alternate ``psi, theta, ...`` as ``rho``'s
+    do, or a step does not replay: pairs[k + 1], label included, must be
+    maps[k] applied to pairs[k]."""
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
         raise ValueError("a trace holds one or more pairs and one map between each two")
-    indices = {validate_pair(pair) for pair in (pairs[0], *_interior(trace), pairs[-1])}
+    if pairs[0].kind != "D" or pairs[-1].kind != "D":
+        raise ValueError("a rho walk starts and ends in D")
+    indices = set(map(validate_pair, pairs))
     if len(indices) != 1:
         raise ValueError("trace pairs have different indices")
     for k, name in enumerate(trace.maps):
@@ -359,7 +356,8 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
 def psi(pair: Pair) -> Pair:
     """Move one copy of the moving value between rows, adjusting the
     permutation by one adjacent transposition; the shape may gain a one-cell
-    row, or lose its row r when that row empties."""
+    row, or lose its row r when that row empties.  A C image stays C; a D/E
+    image is D when it has no bad cell, else E."""
     selection = psi_selection(pair)
     if selection is None:
         return pair
@@ -388,7 +386,8 @@ def psi(pair: Pair) -> Pair:
             del new_rows[r - 1]
             perm = delete_fixed_point(perm, r)
     rows_out = tuple(new_rows)
-    return Pair(pair.kind, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
+    kind = "C" if pair.kind == "C" else "E" if bad_cells(rows_out) else "D"
+    return Pair(kind, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
 
 
 # -- theta on E \ D ---------------------------------------------------------
@@ -407,7 +406,10 @@ def theta_selection(rows: Rows) -> tuple[int, int]:
 
 def theta(pair: Pair) -> Pair:
     """Swap the cell blocks right of the bad column between rows t-1 and t,
-    and swap the same two positions of the permutation (right to left)."""
+    and swap the same two positions of the permutation (right to left).  A
+    C image stays C, and a D/E image is E unchecked: ``theta`` is an
+    involution on the E pairs outside D, so its image, a ``theta`` input,
+    has a bad cell."""
     t, i = theta_selection(pair.tableau)
     rows = pair.tableau
     above = rows[t - 2]
@@ -416,7 +418,7 @@ def theta(pair: Pair) -> Pair:
     new_row = row[:i] + above[i - 1 :]
     new_rows = rows[: t - 2] + (new_above, new_row) + rows[t:]
     covering = TunnelHookCovering._of(shape_of(new_rows), swap_positions(pair.thc.perm, t - 1))
-    return Pair(pair.kind, covering, new_rows)
+    return Pair("C" if pair.kind == "C" else "E", covering, new_rows)
 
 
 # -- rho on D ---------------------------------------------------------------
@@ -436,7 +438,7 @@ def pair_indices(pair: Pair) -> tuple[IntSeq, IntSeq]:
 
 
 def rho(pair: Pair) -> tuple[Pair, Trace]:
-    """Alternate ``psi`` and ``theta`` until ``psi`` lands back in D.
+    """Alternate ``psi`` and ``theta`` through E until ``psi`` lands in D.
 
     Fixed exactly when lam = mu.  The walk needs no step bound: by the
     involution principle an alternating walk started in D never meets a
@@ -461,7 +463,7 @@ def rho(pair: Pair) -> tuple[Pair, Trace]:
             seen.add(current)
             pairs.append(current)
             maps.append(name)
-            if name == "psi" and not bad_cells(current.tableau):
+            if current.kind == "D":
                 return current, Trace(tuple(pairs), tuple(maps))
 
 
@@ -521,7 +523,7 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     the Kronecker delta.  Closure is membership: each image must be one of
     the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
     as they entered its memo.  For ``rho``, whose walks pass through E,
-    each :func:`_interior` pair of the walk from p must pass
+    each interior pair of the walk from p, an E pair as labelled, must pass
     :func:`validate_pair` with the cell's indices, and the walk back from q
     must be it reversed (``psi`` and ``theta`` are involutions).  The rest
     of :func:`validate_trace` would prove nothing new: membership certifies
@@ -571,7 +573,7 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
             return fail(f"{map_name} is not an involution at {left},{right}", pair)
         if trace is not None:  # the walks of rho pass through E, outside the set
             report.max_walk = max(report.max_walk, len(trace.maps))
-            if any(_misplaced(step, (left, right)) is not None for step in _interior(trace)):
+            if any(_misplaced(step, (left, right)) is not None for step in trace.pairs[1:-1]):
                 return fail(f"image leaves {kind}[{left},{right}]", pair)
             if back_trace != Trace(trace.pairs[::-1], trace.maps[::-1]):
                 return fail(f"image leaves {kind}[{left},{right}]", image)

@@ -8,7 +8,8 @@ byte-stable):
 * rim hooks: {"kind": "srht", "shape": [...], "hooks": [[[i, j], ...], ...]}
 * pair:      {"setKind": "A".."E", "left": ..., "right": ...}; the tableau
   sits on the left for A/B and on the right for C/D/E
-* trace:     {"kind": "trace", "maps": [...], "pairs": [...]}
+* trace:     {"kind": "trace", "maps": [...], "pairs": [...]}; a ``rho``
+  walk, its end pairs D and its interior pairs E
 * matrix:    {"kind": "matrix", "degree": n, "indexKind": ...,
               "labels": [[...], ...], "entries": [[...], ...]}
 

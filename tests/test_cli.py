@@ -36,10 +36,9 @@ def test_matrix_json_structure(capsys):
 
 
 def test_matrix_cap_refusal(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["matrix", "--n", "12", "--kind", "NK"])
-    assert exc.value.code == 2
-    assert "cap" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "matrix", "--n", "12", "--kind", "NK")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: refusing degree 12 > cap 10")
 
 
 def test_verify_identities(capsys):
@@ -56,10 +55,9 @@ def test_verify_sym_frontier_under_cap(capsys):
 
 
 def test_verify_sym_cap_refusal(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--identity", "kkinv", "--n", "11"])
-    assert exc.value.code == 2
-    assert "cap 10" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "verify", "--identity", "kkinv", "--n", "11")
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: refusing degree 11 > cap 10")
 
 
 def test_verify_involutions(capsys):
@@ -225,7 +223,8 @@ def test_render_trace_storyboard(capsys):
     )
     assert code == 0
     assert out == (data / "walk_long_trace.txt").read_text()
-    assert out.count("[D-pair]") == 10
+    # the walk's two ends lie in D, its eight interior pairs in E
+    assert (out.count("[D-pair]"), out.count("[E-pair]")) == (2, 8)
 
 
 def test_render_tikz(tmp_path, capsys):
@@ -273,6 +272,25 @@ def test_validate_rho_trace(capsys):
     code, out, _ = run_cli(capsys, "validate", "--input", str(source))
     assert code == 0
     assert json.loads(out) == {"kind": "trace", "valid": True}
+
+
+def test_each_step_of_a_trace_replays_through_the_cli(tmp_path, capsys):
+    # cut out of the trace, each pair validates in its own family (D at the
+    # start, E inside the walk), and the step's map sends it to the next
+    from pathlib import Path
+
+    text = (Path(__file__).parent / "data" / "walk_long_trace.json").read_text()
+    trace = sz.loads(text.strip())
+    source = tmp_path / "pair.json"
+    for k, name in enumerate(trace.maps):
+        source.write_text(sz.dumps(trace.pairs[k]))
+        code, out, _ = run_cli(capsys, "validate", "--input", str(source))
+        assert code == 0
+        verdict = json.loads(out)
+        assert (verdict["valid"], verdict["setKind"]) == (True, "E" if k else "D")
+        assert (verdict["left"], verdict["right"]) == ([5, 2, 1], [2, 2, 2, 2])
+        code, out, _ = run_cli(capsys, "involution", "run", "--alg", name, "--input", str(source))
+        assert (code, out) == (0, sz.dumps(trace.pairs[k + 1]) + "\n")
 
 
 def test_validate_rejects_mismatched_pair(tmp_path, capsys):
@@ -327,6 +345,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["verify", "--identity", "involutions", "--n", "2", "--workers", "-3"], None, 2),
         (["verify", "--identity", "kkinv", "--n", "3", "--workers", "0"], None, 2),
         (["verify", "--identity", "nk-nkinv", "--n", "3", "--workers", "0"], None, 2),
+        (["matrix", "--n", "0", "--kind", "K"], None, 2),
+        (["matrix", "--n", "11", "--kind", "NK"], None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
@@ -353,6 +373,38 @@ def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
     else:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["valid"] is False
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv", [["render", "--input", "walk_long_trace.json"], ["matrix", "--n", "8", "--kind", "NK"]]
+)
+def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    """``kostka ... | head`` closes stdout early: the output is neither a
+    pass nor a counterexample, so the command exits 2 with one line.  The
+    read end is closed before the command starts, so every write fails: in
+    print when unbuffered or past the buffer, else at the last flush."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kostka.cli", *argv], cwd=tests / "data", env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "output not delivered: the reader closed stdout\n"
 
 
 @pytest.mark.parametrize("identity, n", [("involutions", 4), ("nk-nkinv", 5)])

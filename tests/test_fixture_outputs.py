@@ -38,9 +38,9 @@ PINNED = {
                              (0, "f7f0288793421e7a")),
     "psi_move_pair.json": ((0, "79279f731f487656"), (0, "888d6df326a12af5"),
                            (0, "f7f0288793421e7a")),
-    "walk_long_trace.json": ((0, "d8043f95e797b883"), (2, "e3b0c44298fc1c14"),
+    "walk_long_trace.json": ((0, "078cb1b7a3c1c23b"), (2, "e3b0c44298fc1c14"),
                              (0, "fe010ff9b40152f9")),
-    "walk_short_trace.json": ((0, "8e2910070b94133d"), (2, "e3b0c44298fc1c14"),
+    "walk_short_trace.json": ((0, "228a5042156cfd28"), (2, "e3b0c44298fc1c14"),
                               (0, "fe010ff9b40152f9")),
 }
 

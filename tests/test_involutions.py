@@ -808,10 +808,15 @@ def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_na
 
 
 def test_validate_trace_checks_interior_pairs_as_e_pairs():
+    # psi and theta label the walk's interior pairs E, so a trace of the
+    # old form, with every pair labelled D, is refused: its interior pairs
+    # are not column-strict
     _, trace = inv.rho(RHO_STORY)
+    assert [pair.kind for pair in trace.pairs] == ["D"] + ["E"] * 8 + ["D"]
     assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
+    all_d = tuple(dataclasses.replace(pair, kind="D") for pair in trace.pairs)
     with pytest.raises(ValueError, match="column-strict"):
-        inv.validate_pair(trace.pairs[1])
+        inv.validate_trace(inv.Trace(all_d, trace.maps))
     with pytest.raises(ValueError, match="different indices"):
         inv.validate_trace(inv.Trace((RHO_STORY, RHO_SMALL), ("psi",)))
 
@@ -830,16 +835,36 @@ def test_only_validate_trace_replays_the_steps():
 
 
 def test_validate_trace_checks_the_end_pairs():
-    # cut after its first interior pair, a walk still replays and alternates
-    # and its pairs share one index pair: only the end check refuses it, as
-    # the new end pair lies in E, not in D
+    # cut after an interior pair, or started at one, a walk still replays
+    # and alternates and its pairs pass validate_pair with one index pair:
+    # only the end check refuses it, as its new first or last pair is E
     _, trace = inv.rho(RHO_STORY)
     cut = inv.Trace(trace.pairs[:2], trace.maps[:1])
-    assert inv.psi(cut.pairs[0]) == cut.pairs[1]
-    as_e = dataclasses.replace(cut.pairs[1], kind="E")
-    assert inv.validate_pair(as_e) == inv.pair_indices(RHO_STORY)
-    with pytest.raises(ValueError, match="column-strict"):
-        inv.validate_trace(cut)
+    late = inv.Trace(trace.pairs[2:], trace.maps[2:])
+    assert late.maps[0] == "psi" and late.pairs[0].kind == "E"
+    for part in (cut, late):
+        assert {inv.validate_pair(pair) for pair in part.pairs} == {inv.pair_indices(RHO_STORY)}
+        assert all(getattr(inv, name)(part.pairs[k]) == part.pairs[k + 1]
+                   for k, name in enumerate(part.maps))
+        with pytest.raises(ValueError, match="a rho walk starts and ends in D"):
+            inv.validate_trace(part)
+
+
+def test_every_pair_of_a_rho_walk_replays_on_its_own():
+    # each interior pair of every walk at n <= 6 is an E pair of the walk's
+    # cell, and the map named for a step sends its pair to the next one
+    walks = interior = 0
+    for cell in inv.index_cells("rho", 6):
+        for pair in inv.enumerate_pairs("D", *cell):
+            _, trace = inv.rho(pair)
+            for step in trace.pairs[1:-1]:
+                assert step.kind == "E" and inv.validate_pair(step) == cell
+            for k, name in enumerate(trace.maps):
+                assert getattr(inv, name)(trace.pairs[k]) == trace.pairs[k + 1]
+            assert trace.pairs[-1].kind == "D"
+            walks += 1
+            interior += len(trace.pairs[1:-1])
+    assert (walks, interior) == (1051, 968)
 
 
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
