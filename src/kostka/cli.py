@@ -174,7 +174,7 @@ _ALGS = {
     "phi": (inv.phi, ("A",)),
     "chi": (inv.chi, ("B",)),
     "psi": (inv.psi, ("C", "D", "E")),
-    "theta": (inv.theta, ("C", "D", "E")),
+    "theta": (inv.theta, ("E",)),
     "rho": (inv.rho, ("D",)),
 }
 
@@ -235,7 +235,9 @@ def cmd_bijection(args) -> int:
 def _check(value) -> dict | None:
     """Raise ValueError unless a parsed object keeps its structural
     invariants; else its verdict fields, or None for a bare sequence (a
-    composition, which may also be read as a permutation)."""
+    composition, which may also be read as a permutation).  The records are
+    tuples, so they are tested first, and a bare tableau or sequence must be
+    a plain tuple."""
     if isinstance(value, TunnelHookCovering):
         value.hooks()  # replays the construction, checking every weight
         return {"kind": "thc"}
@@ -248,11 +250,11 @@ def _check(value) -> dict | None:
     if isinstance(value, inv.Trace):
         inv.validate_trace(value)
         return {"kind": "trace"}
-    if isinstance(value, tuple) and all(isinstance(row, tuple) for row in value):
+    if type(value) is tuple and all(isinstance(row, tuple) for row in value):
         if not is_immaculate(value):
             raise ValueError("rows are not an immaculate filling")
         return {"kind": "tableau", "ssyt": is_ssyt(value)}
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         if not is_composition(value):
             raise ValueError(f"shape {value} is not a composition")
         return None

@@ -35,23 +35,25 @@ degree) at a time, and a filling enters it only after ``validate_pair``.
 membership: an image must be one of the cell's enumerated pairs, and each
 interior pair of ``rho``'s walk, an E pair, must pass ``validate_pair``
 with the cell's indices; membership certifies the walk's D ends.
-``validate_trace`` checks a trace read from outside: its D ends, every
-pair, the alternation of the maps, and the replay of each step.  The maps
-build their image coverings with ``TunnelHookCovering._of``, which skips
-the constructor's checks: an image is valid by construction, and membership
-compares it with the members, whose coverings the constructor built.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
+``validate_trace`` checks a trace read from outside: its D ends, every
+pair, the alternation of the maps, and the replay of each step.  The maps
+build their image coverings with ``TunnelHookCovering._of``, which skips
+the checks of the covering's ``__new__``: an image is valid by construction,
+and membership compares it with the members, whose coverings the checking
+constructor built.  Pairs, traces and coverings are tuples (``NamedTuple``
+records), so the membership dict and ``rho``'s seen set hash and compare
+them in C.
 ``verify_involution``, serial or pooled, is the one loop over cells.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     DegreeError,
@@ -83,15 +85,18 @@ from .tableaux import (
 from .tunnelhooks import TunnelHookCovering, delta_choices
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(NamedTuple):
+    """A covering and a tableau, labelled with their family.  A pair hashes
+    and compares as the tuple (kind, thc, tableau), in C, so it equals any
+    tuple with the same entries: code that tells objects apart tests the
+    record types before plain tuples."""
+
     kind: str  # "A" | "B" | "C" | "D" | "E"
     thc: TunnelHookCovering
     tableau: Rows
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A walk produced by ``rho``: pairs[0] is the input, pairs[-1] the
     output, both D pairs, the pairs between them E pairs, and maps[i]
     named the step from pairs[i] to pairs[i+1]."""
@@ -159,9 +164,10 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     that fails, when the trace is malformed, does not start and end in D, a
     pair fails :func:`validate_pair` as labelled (E inside the walk), two
     pairs have different indices (``psi`` and ``theta`` conserve both
-    contents), the maps do not alternate ``psi, theta, ...`` as ``rho``'s
-    do, or a step does not replay: pairs[k + 1], label included, must be
-    maps[k] applied to pairs[k]."""
+    contents), a trace with no step lies off the diagonal (``rho`` walks
+    from every such pair), the maps do not alternate ``psi, theta, ...``
+    as ``rho``'s do, or a step does not replay: pairs[k + 1], label
+    included, must be maps[k] applied to pairs[k]."""
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
         raise ValueError("a trace holds one or more pairs and one map between each two")
@@ -170,13 +176,16 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     indices = set(map(validate_pair, pairs))
     if len(indices) != 1:
         raise ValueError("trace pairs have different indices")
+    left, right = indices.pop()
+    if not trace.maps and left != right:
+        raise ValueError("a trace with no step must hold a fixed point: its indices differ")
     for k, name in enumerate(trace.maps):
         if name != ("psi", "theta")[k % 2]:
             raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
     for k, name in enumerate(trace.maps):
         if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
             raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
-    return indices.pop()
+    return left, right
 
 
 def _misplaced(pair: Pair, cell: tuple[IntSeq, IntSeq]) -> str | None:
@@ -470,17 +479,19 @@ def rho(pair: Pair) -> tuple[Pair, Trace]:
 # -- exhaustive verification -------------------------------------------------
 
 
-@dataclass
 class InvolutionReport:
-    kind: str
-    map_name: str
-    degree: int
-    pairs_checked: int = 0
-    fixed_points: int = 0
-    max_walk: int = 0
-    violations: list[str] = field(default_factory=list)
-    pair: Pair | None = None  # the pair of the first violation, if it has one
-    cell: tuple[IntSeq, IntSeq] | None = None  # the index pair of the first violation
+    """The counts of a check over some cells, and its first violation."""
+
+    def __init__(self, kind: str, map_name: str, degree: int) -> None:
+        self.kind = kind
+        self.map_name = map_name
+        self.degree = degree
+        self.pairs_checked = 0
+        self.fixed_points = 0
+        self.max_walk = 0
+        self.violations: list[str] = []
+        self.pair: Pair | None = None  # the pair of the first violation, if it has one
+        self.cell: tuple[IntSeq, IntSeq] | None = None  # the index pair of the first violation
 
     @property
     def ok(self) -> bool:

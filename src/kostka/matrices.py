@@ -21,25 +21,29 @@ its right factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
 from .rimhooks import enumerate_srht, srht_content, srht_sign
 from .tunnelhooks import delta_choices
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class _MatrixFields(NamedTuple):
     degree: int
     index_kind: str  # "compositions" | "partitions"
     labels: tuple[IntSeq, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        size = len(self.labels)
-        if len(self.entries) != size or any(len(row) != size for row in self.entries):
+
+class TransitionMatrix(_MatrixFields):
+    __slots__ = ()
+
+    def __new__(cls, degree: int, index_kind: str, labels: tuple[IntSeq, ...],
+                entries: tuple[tuple[int, ...], ...]) -> TransitionMatrix:
+        size = len(labels)
+        if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError("matrix must be square over its labels")
+        return tuple.__new__(cls, (degree, index_kind, labels, entries))
 
     @property
     def size(self) -> int:

@@ -173,7 +173,9 @@ def tikz_pair(pair: Pair) -> str:
 
 
 def render_object(value, fmt: str = "ascii") -> str:
-    """Dispatch renderer used by the command line."""
+    """Dispatch renderer used by the command line.  The records are tuples,
+    so they are tested first, and a bare tableau or composition must be a
+    plain tuple."""
     if fmt == "ascii":
         if isinstance(value, TunnelHookCovering):
             return render_thc(value)
@@ -183,11 +185,9 @@ def render_object(value, fmt: str = "ascii") -> str:
             return render_pair(value)
         if isinstance(value, Trace):
             return render_trace(value)
-        if isinstance(value, tuple) and value and all(
-            isinstance(r, tuple) for r in value
-        ):
+        if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
             return render_tableau(value)
-        if isinstance(value, tuple):
+        if type(value) is tuple:
             return render_diagram(value)
         raise ValueError(f"cannot render {type(value).__name__}")
     if fmt == "tikz":
@@ -197,11 +197,9 @@ def render_object(value, fmt: str = "ascii") -> str:
             return tikz_srht(value)
         if isinstance(value, Pair):
             return tikz_pair(value)
-        if isinstance(value, tuple) and value and all(
-            isinstance(r, tuple) for r in value
-        ):
+        if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
             return tikz_tableau(value)
-        if isinstance(value, tuple):
+        if type(value) is tuple:
             return tikz_diagram(value)
         raise ValueError(f"cannot render {type(value).__name__} as TikZ")
     raise ValueError(f"unknown format {fmt!r}")

@@ -15,8 +15,7 @@ weight-preserving bijection onto the coverings with nonnegative weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     IntSeq,
@@ -33,14 +32,18 @@ Cell = tuple[int, int]
 HookPath = tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class SpecialRimHookTableau:
+class _SRHTFields(NamedTuple):
     shape: IntSeq
     hooks: tuple[HookPath, ...]
 
-    def __post_init__(self) -> None:
-        if not is_partition(self.shape):
-            raise ValueError(f"shape {self.shape} is not a partition")
+
+class SpecialRimHookTableau(_SRHTFields):
+    __slots__ = ()
+
+    def __new__(cls, shape: IntSeq, hooks: tuple[HookPath, ...]) -> SpecialRimHookTableau:
+        if not is_partition(shape):
+            raise ValueError(f"shape {shape} is not a partition")
+        return tuple.__new__(cls, (shape, hooks))
 
     def initial_cells(self) -> tuple[Cell, ...]:
         return tuple(h[0] for h in self.hooks)

@@ -118,7 +118,7 @@ def parse_object(data: Any):
             raise ValueError(f"unknown pair family {kind!r}")
         if not isinstance(covering, TunnelHookCovering):
             raise ValueError("pair is missing its covering side")
-        if not (isinstance(tableau, tuple) and all(isinstance(r, tuple) for r in tableau)):
+        if not (type(tableau) is tuple and all(isinstance(r, tuple) for r in tableau)):
             raise ValueError("pair is missing its tableau side")
         return Pair(kind, covering, tableau)
     kind = data.get("kind")
@@ -159,7 +159,9 @@ def parse_object(data: Any):
 
 
 def to_obj(value: Any) -> Any:
-    """JSON-ready form of any package object (tableaux are rows tuples)."""
+    """JSON-ready form of any package object (tableaux are rows tuples).
+    The records are tuples, so they are tested first, and a bare tableau or
+    composition must be a plain tuple."""
     if isinstance(value, TunnelHookCovering):
         return thc_to_obj(value)
     if isinstance(value, SpecialRimHookTableau):
@@ -170,9 +172,9 @@ def to_obj(value: Any) -> Any:
         return trace_to_obj(value)
     if isinstance(value, TransitionMatrix):
         return matrix_to_obj(value)
-    if isinstance(value, tuple) and value and all(isinstance(r, tuple) for r in value):
+    if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
         return tableau_to_obj(value)
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return list(value)
     raise ValueError(f"cannot serialize {type(value).__name__}")
 

@@ -23,8 +23,7 @@ cell of every row is a legal terminal cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     IntSeq,
@@ -46,8 +45,12 @@ def diagonal(cell: Cell) -> int:
     return r - c + 1
 
 
-@dataclass(frozen=True)
-class GBPRDiagram:
+class _GBPRFields(NamedTuple):
+    shape: IntSeq
+    nu: IntSeq
+
+
+class GBPRDiagram(_GBPRFields):
     """A stage of the colored construction: shape plus grey profile.
 
     Row i holds nu[i] grey cells; right of them sit blue cells (row still
@@ -56,17 +59,14 @@ class GBPRDiagram:
     may be zero or negative in intermediate stages.
     """
 
-    shape: IntSeq
-    nu: IntSeq
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.shape) != len(self.nu):
+    def __new__(cls, shape: IntSeq, nu: IntSeq) -> GBPRDiagram:
+        if len(shape) != len(nu):
             raise ValueError("shape and grey profile lengths differ")
-        if any(g < 0 for g in self.nu):
+        if any(g < 0 for g in nu):
             raise ValueError("grey profile entries must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self.shape)
+        return tuple.__new__(cls, (shape, nu))
 
     def row_spans(self, i: int) -> tuple[int, int, int]:
         """(grey end, blue end, red end) column bounds for row i (1-based)."""
@@ -78,7 +78,7 @@ class GBPRDiagram:
 
     def color(self, i: int, j: int) -> str:
         """Color letter G/B/R/P of cell (i, j), j >= 1."""
-        if not 1 <= i <= len(self):
+        if not 1 <= i <= len(self.shape):
             raise ValueError(f"row {i} out of range")
         if j < 1:
             raise ValueError("columns are 1-based")
@@ -94,7 +94,7 @@ class GBPRDiagram:
     def is_grey(self, r: int, c: int) -> bool:
         if c == 0:
             return True
-        return 1 <= r <= len(self) and 1 <= c <= self.nu[r - 1]
+        return 1 <= r <= len(self.shape) and 1 <= c <= self.nu[r - 1]
 
 
 def boundary_cells(diagram: GBPRDiagram, i: int) -> list[Cell]:
@@ -125,7 +125,7 @@ def available_terminals(diagram: GBPRDiagram, r: int) -> list[Cell]:
     left neighbor is grey (or the wall).  The terminals occupy distinct
     diagonals, which is what makes the permutation encoding possible.
     """
-    ell = len(diagram)
+    ell = len(diagram.shape)
     if not 1 <= r <= ell:
         raise ValueError(f"row {r} out of range")
     terminals = [(p, diagram.nu[p - 1] + 1) for p in range(r, ell + 1)]
@@ -135,8 +135,7 @@ def available_terminals(diagram: GBPRDiagram, r: int) -> list[Cell]:
     return terminals
 
 
-@dataclass(frozen=True)
-class TunnelHook:
+class TunnelHook(NamedTuple):
     start_row: int
     end_row: int
     terminal: Cell
@@ -178,30 +177,40 @@ def _hook_at(diagram: GBPRDiagram, r: int, p: int) -> TunnelHook:
     )
 
 
-@dataclass(frozen=True)
-class TunnelHookCovering:
+class _CoveringFields(NamedTuple):
+    shape: IntSeq
+    perm: Perm
+
+
+class TunnelHookCovering(_CoveringFields):
     """A covering in canonical (shape, permutation) form.
 
     The constructor checks that the shape is a composition and the
     permutation one of its length.  :meth:`_of` is the trusted builder that
     skips those checks; only the four pair maps of ``involutions`` (``phi``,
     ``chi``, ``psi`` and ``theta``) call it, for their image coverings.
+
+    A covering hashes and compares as the tuple (shape, perm), in C, so it
+    equals any tuple with the same entries: code that tells objects apart
+    tests the record types before plain tuples.  ``_replace`` and ``_make``
+    skip the checks too; the package does not call them.
     """
 
-    shape: IntSeq
-    perm: Perm
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_composition(self.shape):
-            raise ValueError(f"shape {self.shape} is not a composition")
-        if len(self.shape) != len(self.perm):
+    def __new__(cls, shape: IntSeq, perm: Perm) -> TunnelHookCovering:
+        if not is_composition(shape):
+            raise ValueError(f"shape {shape} is not a composition")
+        if len(shape) != len(perm):
             raise ValueError("shape and permutation lengths differ")
-        if not is_perm(self.perm):
-            raise ValueError(f"{self.perm} is not a permutation")
+        if not is_perm(perm):
+            raise ValueError(f"{perm} is not a permutation")
+        return tuple.__new__(cls, (shape, perm))
 
     @classmethod
     def _of(cls, shape: IntSeq, perm: Perm) -> TunnelHookCovering:
-        """The covering (shape, perm), built without the constructor's checks.
+        """The covering (shape, perm), built as a bare tuple without the
+        constructor's checks.
 
         For the image of a pair map applied to a pair of its family, whose
         covering passed the constructor.  The image is valid by construction:
@@ -216,10 +225,7 @@ class TunnelHookCovering:
         cell, and each member's covering was built by the constructor in
         ``involutions._index``.
         """
-        covering = object.__new__(cls)
-        object.__setattr__(covering, "shape", shape)
-        object.__setattr__(covering, "perm", perm)
-        return covering
+        return tuple.__new__(cls, (shape, perm))
 
     def delta(self) -> IntSeq:
         """Per-row weights: delta_i = shape_i + perm_i - i.  May be negative."""

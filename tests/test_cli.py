@@ -6,6 +6,14 @@ from kostka import cli, involutions as inv, matrices as mx, serialize as sz
 from kostka.tunnelhooks import thc_from_perm
 
 
+# theta acts on E pairs only: on this C pair its image would leave the cell
+# (perm (1, 2), left index (1, 2)), and this D pair has no bad cell
+_THETA_C_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [1, 2], "perm": [2, 1]},
+                 "right": {"kind": "tableau", "rows": [[1], [2, 2]]}}
+_THETA_D_PAIR = {"setKind": "D", "left": {"kind": "thc", "shape": [3, 2], "perm": [1, 2]},
+                 "right": {"kind": "tableau", "rows": [[1, 1, 2], [2, 3]]}}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -130,6 +138,14 @@ def test_involution_family_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "acts on A pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair, kind", [(_THETA_C_PAIR, "C"), (_THETA_D_PAIR, "D")])
+def test_theta_acts_on_e_pairs_only(tmp_path, capsys, pair, kind):
+    source = tmp_path / "pair.json"
+    source.write_text(json.dumps(pair))
+    code, out, err = run_cli(capsys, "involution", "run", "--alg", "theta", "--input", str(source))
+    assert (code, out, err) == (2, "", f"invalid input: theta acts on E pairs, got setKind {kind}\n")
 
 
 def test_involution_rejects_invalid_pair(tmp_path, capsys):
@@ -347,6 +363,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["verify", "--identity", "nk-nkinv", "--n", "3", "--workers", "0"], None, 2),
         (["matrix", "--n", "0", "--kind", "K"], None, 2),
         (["matrix", "--n", "11", "--kind", "NK"], None, 2),
+        (["involution", "run", "--alg", "theta", "--input", "in.json"], _THETA_C_PAIR, 2),
+        (["involution", "run", "--alg", "theta", "--input", "in.json"], _THETA_D_PAIR, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import multiprocessing
@@ -551,7 +550,7 @@ def test_verify_cell_rejects_an_image_outside_the_set(monkeypatch):
     # psi relabelled between C and E is still a sign-reversing involution
     # without off-diagonal fixed points, but its images are E pairs
     def relabelled(pair):
-        return dataclasses.replace(inv.psi(pair), kind="E" if pair.kind == "C" else "C")
+        return inv.psi(pair)._replace(kind="E" if pair.kind == "C" else "C")
 
     monkeypatch.setitem(inv._MAPS, "psi", ("C", relabelled))
     report = inv.verify_cell("psi", ((1, 2), (1, 1, 1)))
@@ -652,7 +651,7 @@ def _repeating(pair):
     """The pair with a covering whose permutation repeats its first value,
     built as the maps build their images, past the constructor's checks."""
     perm = pair.thc.perm
-    return dataclasses.replace(pair, thc=TunnelHookCovering._of(pair.thc.shape, perm[:1] * 2 + perm[2:]))
+    return pair._replace(thc=TunnelHookCovering._of(pair.thc.shape, perm[:1] * 2 + perm[2:]))
 
 
 def test_membership_catches_a_phi_image_that_is_no_covering(monkeypatch):
@@ -814,7 +813,7 @@ def test_validate_trace_checks_interior_pairs_as_e_pairs():
     _, trace = inv.rho(RHO_STORY)
     assert [pair.kind for pair in trace.pairs] == ["D"] + ["E"] * 8 + ["D"]
     assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
-    all_d = tuple(dataclasses.replace(pair, kind="D") for pair in trace.pairs)
+    all_d = tuple(pair._replace(kind="D") for pair in trace.pairs)
     with pytest.raises(ValueError, match="column-strict"):
         inv.validate_trace(inv.Trace(all_d, trace.maps))
     with pytest.raises(ValueError, match="different indices"):
@@ -848,6 +847,18 @@ def test_validate_trace_checks_the_end_pairs():
                    for k, name in enumerate(part.maps))
         with pytest.raises(ValueError, match="a rho walk starts and ends in D"):
             inv.validate_trace(part)
+
+
+def test_a_trace_with_no_step_holds_a_fixed_point():
+    # rho walks from every pair off the diagonal, so a one-pair trace is its
+    # output only on a diagonal pair
+    off = inv.enumerate_pairs("D", (3, 2), (2, 2, 1))[0]
+    assert inv.rho(off)[1].maps == ("psi",)
+    with pytest.raises(ValueError, match="a trace with no step must hold a fixed point"):
+        inv.validate_trace(inv.Trace((off,), ()))
+    (fixed,) = inv.enumerate_pairs("D", (3, 2), (3, 2))
+    assert inv.rho(fixed)[1] == inv.Trace((fixed,), ())
+    assert inv.validate_trace(inv.Trace((fixed,), ())) == ((3, 2), (3, 2))
 
 
 def test_every_pair_of_a_rho_walk_replays_on_its_own():
