@@ -2,7 +2,8 @@
 
 Compositions index the noncommutative side, partitions the symmetric side.
 The package builds the four transition matrices from counts: one Pieri walk
-per matrix counts the Kostka entries without listing tableaux (the tableau
+per matrix counts the Kostka entries without listing tableaux, expanding
+each (shape, copies of the next value) once per matrix (the tableau
 enumerators stay its oracle), and the inverses sum the signs of hook
 coverings or rim hook tableaux.  It also exposes the sign-reversing
 involutions proving the inverse identities pairwise, and the permutation

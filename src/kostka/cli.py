@@ -59,7 +59,7 @@ def _check_cap(n: int, cap: int, nsym: bool) -> None:
         raise DegreeError(f"degree must be >= 1, got {n}")
     if n > cap:
         cost = (f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition labels "
-                "(cost grows roughly 5x per degree)" if nsym
+                "(cost grows roughly 4x per degree)" if nsym
                 else f"~{len(partitions_of(n)) ** 2} entry counts over partition labels")
         raise ValueError(f"refusing degree {n} > cap {cap}: {cost}; pass --cap {n} to proceed")
 

@@ -2,7 +2,9 @@
 
 Each Kostka matrix is counted by one Pieri walk over content prefixes, which
 grows shapes value by value and yields every column's entries, without
-building any tableau.  The Sym inverse is counted too, by peeling
+building any tableau.  The walk expands each (shape, copies of the next
+value) once per matrix and keeps the image for the rest of that call, so
+later prefixes only add counts.  The Sym inverse is counted too, by peeling
 special rim hooks off each shape; the NSym inverse sums the signs of
 enumerated hook coverings.  Listing rim hook tableaux (and, in the tests,
 Jacobi-Trudi terms) stays as an independent route to the Sym inverse.
@@ -78,29 +80,28 @@ def _signed_counts(
     return TransitionMatrix(n, index_kind, labels, tuple(map(tuple, entries)))
 
 
-def _grow(counts: dict[IntSeq, int], c: int, strip: bool) -> dict[IntSeq, int]:
-    """Place c copies of the next value on every state (a shape): the rows
-    grow and one new row may start below them (the immaculate Pieri rule,
-    arXiv:1208.5191).  With ``strip`` the cells form a horizontal strip
-    (Stanley, EC2 7.10): row i > 0 stays within the old row i - 1, and a
-    new row within the old last row."""
-    out: dict[IntSeq, int] = {}
-    for state, count in counts.items():
-        partial = [((), c)]
-        for i, have in enumerate(state):
-            high = state[i - 1] if strip and i else have + c
-            partial = [
-                (grown + (length,), left - (length - have))
-                for grown, left in partial
-                for length in range(have, min(high, have + left) + 1)
-            ]
-        for grown, left in partial:
-            if left:
-                if strip and state and left > state[-1]:
-                    continue
-                grown += (left,)
-            out[grown] = out.get(grown, 0) + count
-    return out
+def _pieri(state: IntSeq, c: int, strip: bool) -> tuple[IntSeq, ...]:
+    """The shapes grown from state (a shape) by c copies of the next value,
+    each once: the rows grow and one new row may start below them (the
+    immaculate Pieri rule, arXiv:1208.5191).  With ``strip`` the cells form a
+    horizontal strip (Stanley, EC2 7.10): row i > 0 stays within the old row
+    i - 1, and a new row within the old last row."""
+    partial = [((), c)]
+    for i, have in enumerate(state):
+        high = state[i - 1] if strip and i else have + c
+        partial = [
+            (grown + (length,), left - (length - have))
+            for grown, left in partial
+            for length in range(have, min(high, have + left) + 1)
+        ]
+    shapes = []
+    for grown, left in partial:
+        if left:
+            if strip and state and left > state[-1]:
+                continue
+            grown += (left,)
+        shapes.append(grown)
+    return tuple(shapes)
 
 
 def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
@@ -108,9 +109,27 @@ def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
     the content fills, its values 1, 2, ... placed in turn from the empty
     shape.  The state counts of each content prefix stay on ``path`` for the
     contents after it, so in label order (depth-first over the prefixes)
-    every prefix is grown once; the last value's states are not kept."""
+    every prefix is grown once; the last value's states are not kept.
+
+    A state's image under c copies of a value depends only on (state, c), so
+    ``images`` keeps each :func:`_pieri` result for the rest of the call:
+    every (state, c) is expanded once per matrix, and a step only adds each
+    state's count into the shapes of its image."""
     path = [{(): 1}]  # path[k]: state counts after the first k values
     placed: IntSeq = ()  # the values path covers
+    images: dict[tuple[IntSeq, int], tuple[IntSeq, ...]] = {}
+    shapes: dict[IntSeq, IntSeq] = {}  # one tuple per shape, shared by every image
+
+    def grow(counts: dict[IntSeq, int], c: int) -> dict[IntSeq, int]:
+        out: dict[IntSeq, int] = {}
+        for state, count in counts.items():
+            image = images.get((state, c))
+            if image is None:
+                image = tuple(shapes.setdefault(s, s) for s in _pieri(state, c, strip))
+                images[state, c] = image
+            for shape in image:
+                out[shape] = out.get(shape, 0) + count
+        return out
 
     def terms(content: IntSeq) -> Iterable[tuple[int, IntSeq]]:
         nonlocal placed
@@ -120,9 +139,9 @@ def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
             k += 1
         del path[k + 1 :]
         for c in head[k:]:
-            path.append(_grow(path[-1], c, strip))
+            path.append(grow(path[-1], c))
         placed = head
-        return ((count, shape) for shape, count in _grow(path[-1], content[-1], strip).items())
+        return ((count, shape) for shape, count in grow(path[-1], content[-1]).items())
 
     return terms
 

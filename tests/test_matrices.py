@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from collections import Counter
 
@@ -61,6 +62,44 @@ def test_kostka_counts_at_degrees_9_and_10(data):
     partitions = core.partitions_of(n)
     lam, mu = data.draw(st.tuples(st.sampled_from(partitions), st.sampled_from(partitions)))
     assert _sym_K(n).entry(lam, mu) == len(tableaux.enumerate_ssyt(lam, mu))
+
+
+# sha256 of repr(entries), computed before the Pieri walk kept its images;
+# the enumerators cannot reach these degrees, so the digests pin the counts
+@pytest.mark.parametrize("build, n, digest", [
+    (mx.nsym_K, 10, "a4b434750188087f89b9a864c3917f593afe127429b1ee844d459226007c7b3d"),
+    (mx.sym_K, 16, "fdd3280fee55258c257fc4131ac477c39f1968d7360f0c89f89af51a50dd309c"),
+    (mx.sym_K, 18, "2488e6812f14619d9175b4fd4fb6e9eec8f5d42ea06dd4a932b663d3888f4416"),
+])
+def test_kostka_digests_past_the_enumerators(build, n, digest):
+    assert hashlib.sha256(repr(build(n).entries).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build, n, labels, strip", [
+    (mx.nsym_K, 6, core.compositions_of, False),
+    (mx.sym_K, 8, core.partitions_of, True),
+])
+def test_pieri_expands_each_state_once_per_call(monkeypatch, build, n, labels, strip):
+    pieri = mx._pieri
+    met = set()  # every (state, c) that a walk without the images expands
+    for content in labels(n):
+        states = {()}
+        for c in content:
+            met.update((state, c) for state in states)
+            states = {shape for state in states for shape in pieri(state, c, strip)}
+    calls = Counter()
+
+    def counting(state, c, strip):
+        calls[state, c] += 1
+        return pieri(state, c, strip)
+
+    monkeypatch.setattr(mx, "_pieri", counting)
+    first = build(n)
+    assert calls == Counter(met)
+    # nothing outlives the call: a second one expands every state again
+    calls.clear()
+    assert build(n) == first
+    assert calls == Counter(met)
 
 
 def test_sym_k_fixtures():
