@@ -33,7 +33,6 @@ from . import render as rd
 from . import serialize as sz
 from .core import DegreeError, NoPreimageError, compositions_of, is_composition, partitions_of
 from .rimhooks import (
-    SpecialRimHookTableau,
     enumerate_srht,
     perm_srt,
     srht_from_perm,
@@ -42,7 +41,7 @@ from .rimhooks import (
     validate_srht,
 )
 from .tableaux import enumerate_immaculate, enumerate_ssyt, is_immaculate, is_ssyt
-from .tunnelhooks import TunnelHookCovering, enumerate_thc, perm_of_thc, thc_from_perm
+from .tunnelhooks import enumerate_thc, perm_of_thc, thc_from_perm
 
 DEFAULT_CAP = 10
 
@@ -54,13 +53,18 @@ _MATRIX_BUILDERS = {
 }
 
 
-def _check_cap(n: int, cap: int, nsym: bool) -> None:
+def _check_cap(n: int, cap: int, job: str) -> None:
+    """``job``: a matrix kind, or a ``verify`` identity."""
     if n < 1:
         raise DegreeError(f"degree must be >= 1, got {n}")
     if n > cap:
-        cost = (f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition labels "
-                "(cost grows roughly 4x per degree)" if nsym
-                else f"~{len(partitions_of(n)) ** 2} entry counts over partition labels")
+        if job == "involutions":
+            cost = f"four maps over every pair of degree <= {n} (pairs grow roughly 5x per degree)"
+        elif job in ("K", "Kinv", "kkinv", "kinvk"):
+            cost = f"~{len(partitions_of(n)) ** 2} entry counts over partition labels"
+        else:
+            cost = (f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition labels "
+                    "(cost grows roughly 4x per degree)")
         raise ValueError(f"refusing degree {n} > cap {cap}: {cost}; pass --cap {n} to proceed")
 
 
@@ -72,10 +76,10 @@ def _read_json(path: str):
     return json.loads(text)
 
 
-def _parse_as(data, cls: type):
+def _parse_as(data, kind: str):
     value = sz.parse_object(data)
-    if not isinstance(value, cls):
-        raise ValueError(f"expected a {cls.__name__} object")
+    if sz.kind_of(value) != kind:
+        raise ValueError(f"expected a {kind} object")
     return value
 
 
@@ -83,7 +87,7 @@ def _parse_as(data, cls: type):
 
 
 def cmd_matrix(args) -> int:
-    _check_cap(args.n, args.cap, args.kind.startswith("N"))
+    _check_cap(args.n, args.cap, args.kind)
     matrix = _MATRIX_BUILDERS[args.kind](args.n)
     if args.format == "csv":
         print(sz.matrix_to_csv(matrix))
@@ -126,7 +130,7 @@ def _verify_involutions(n: int, workers: int) -> dict | None:
 
 
 def cmd_verify(args) -> int:
-    _check_cap(args.n, args.cap, args.identity not in ("kkinv", "kinvk"))
+    _check_cap(args.n, args.cap, args.identity)
     if args.workers < 1:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
     if args.identity == "involutions":
@@ -148,6 +152,8 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 
 
 def cmd_enumerate(args) -> int:
+    if args.what not in ("compositions", "partitions") and not _parse_parts(args.shape):
+        raise ValueError("--shape needs at least one part")
     if args.what == "compositions":
         objects = compositions_of(args.n)
     elif args.what == "partitions":
@@ -180,7 +186,7 @@ _ALGS = {
 
 
 def cmd_involution(args) -> int:
-    pair = _parse_as(_read_json(args.input), inv.Pair)
+    pair = _parse_as(_read_json(args.input), "pair")
     apply, families = _ALGS[args.alg]
     if pair.kind not in families:
         raise ValueError(f"{args.alg} acts on {'/'.join(families)} pairs, got setKind {pair.kind}")
@@ -206,14 +212,14 @@ def _loose_shape_perm(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return sz.parse_object(data["shape"]), sz.parse_object(data["perm"])
 
 
-# direction -> (parsed input type, or None for a {"shape", "perm"} object; map)
+# direction -> (parsed input kind, or None for a {"shape", "perm"} object; map)
 _BIJECTIONS = {
-    "thc-to-perm": (TunnelHookCovering, perm_of_thc),
+    "thc-to-perm": ("thc", perm_of_thc),
     "perm-to-thc": (None, thc_from_perm),
-    "srht-to-perm": (SpecialRimHookTableau, perm_srt),
+    "srht-to-perm": ("srht", perm_srt),
     "perm-to-srht": (None, srht_from_perm),
-    "srht-to-thc": (SpecialRimHookTableau, srht_to_thc),
-    "thc-to-srht": (TunnelHookCovering, thc_to_srht),
+    "srht-to-thc": ("srht", srht_to_thc),
+    "thc-to-srht": ("thc", thc_to_srht),
 }
 
 
@@ -235,30 +241,30 @@ def cmd_bijection(args) -> int:
 def _check(value) -> dict | None:
     """Raise ValueError unless a parsed object keeps its structural
     invariants; else its verdict fields, or None for a bare sequence (a
-    composition, which may also be read as a permutation).  The records are
-    tuples, so they are tested first, and a bare tableau or sequence must be
-    a plain tuple."""
-    if isinstance(value, TunnelHookCovering):
+    composition, which may also be read as a permutation)."""
+    kind = sz.kind_of(value)
+    if kind == "thc":
         value.hooks()  # replays the construction, checking every weight
-        return {"kind": "thc"}
-    if isinstance(value, SpecialRimHookTableau):
+    elif kind == "srht":
         validate_srht(value)
-        return {"kind": "srht"}
-    if isinstance(value, inv.Pair):
+    elif kind == "pair":
         left, right = inv.validate_pair(value)
         return {"kind": "pair", "setKind": value.kind, "left": list(left), "right": list(right)}
-    if isinstance(value, inv.Trace):
+    elif kind == "trace":
         inv.validate_trace(value)
-        return {"kind": "trace"}
-    if type(value) is tuple and all(isinstance(row, tuple) for row in value):
+    elif kind == "tableau":
         if not is_immaculate(value):
             raise ValueError("rows are not an immaculate filling")
         return {"kind": "tableau", "ssyt": is_ssyt(value)}
-    if type(value) is tuple:
+    elif kind == "sequence":
+        if not value:
+            raise ValueError("a bare sequence has at least one entry")
         if not is_composition(value):
             raise ValueError(f"shape {value} is not a composition")
         return None
-    raise ValueError("nothing to validate")
+    else:
+        raise ValueError("nothing to validate")
+    return {"kind": kind}
 
 
 def cmd_validate(args) -> int:

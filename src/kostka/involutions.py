@@ -88,8 +88,8 @@ from .tunnelhooks import TunnelHookCovering, delta_choices
 class Pair(NamedTuple):
     """A covering and a tableau, labelled with their family.  A pair hashes
     and compares as the tuple (kind, thc, tableau), in C, so it equals any
-    tuple with the same entries: code that tells objects apart tests the
-    record types before plain tuples."""
+    tuple with the same entries: tell objects apart with
+    :func:`kostka.serialize.kind_of`."""
 
     kind: str  # "A" | "B" | "C" | "D" | "E"
     thc: TunnelHookCovering

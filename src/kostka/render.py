@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .involutions import Pair, Trace
 from .rimhooks import SpecialRimHookTableau
+from .serialize import kind_of
 from .tableaux import Rows
 from .tunnelhooks import TunnelHookCovering
 
@@ -31,18 +32,15 @@ def render_tableau(rows: Rows) -> str:
     return "\n".join(" ".join(str(v).rjust(width) for v in row) for row in rows)
 
 
-def _hook_labels(covering: TunnelHookCovering) -> dict[Cell, int]:
-    labels: dict[Cell, int] = {}
-    for index, hook in enumerate(covering.hooks(), start=1):
-        for cell in hook.cells:
-            labels[cell] = index
-    return labels
+def _hook_labels(paths: Sequence[Sequence[Cell]]) -> dict[Cell, int]:
+    """Each cell's hook number, counting the paths from 1."""
+    return {cell: index for index, path in enumerate(paths, start=1) for cell in path}
 
 
 def render_thc(covering: TunnelHookCovering) -> str:
     """Each consumed cell shows its hook number; cells past the end of
     their diagram row are marked with a trailing apostrophe."""
-    labels = _hook_labels(covering)
+    labels = _hook_labels([hook.cells for hook in covering.hooks()])
     shape = covering.shape
     n_rows = max(r for r, _ in labels)
     width = len(str(len(shape))) + 2  # room for the out-of-row mark
@@ -65,10 +63,7 @@ def render_thc(covering: TunnelHookCovering) -> str:
 
 def render_srht(tableau: SpecialRimHookTableau) -> str:
     lines = [f"shape={_fmt(tableau.shape)}"]
-    labels: dict[Cell, int] = {}
-    for index, path in enumerate(tableau.hooks, start=1):
-        for cell in path:
-            labels[cell] = index
+    labels = _hook_labels(tableau.hooks)
     width = len(str(len(tableau.hooks))) + 1
     for i in range(1, len(tableau.shape) + 1):
         lines.append(
@@ -172,34 +167,22 @@ def tikz_pair(pair: Pair) -> str:
     return _tikz_wrap(body)
 
 
+_DRAWERS = {
+    "ascii": {"thc": render_thc, "srht": render_srht, "pair": render_pair, "trace": render_trace,
+              "tableau": render_tableau, "sequence": render_diagram},
+    "tikz": {"thc": tikz_thc, "srht": tikz_srht, "pair": tikz_pair,
+             "tableau": tikz_tableau, "sequence": tikz_diagram},
+}
+
+
 def render_object(value, fmt: str = "ascii") -> str:
-    """Dispatch renderer used by the command line.  The records are tuples,
-    so they are tested first, and a bare tableau or composition must be a
-    plain tuple."""
-    if fmt == "ascii":
-        if isinstance(value, TunnelHookCovering):
-            return render_thc(value)
-        if isinstance(value, SpecialRimHookTableau):
-            return render_srht(value)
-        if isinstance(value, Pair):
-            return render_pair(value)
-        if isinstance(value, Trace):
-            return render_trace(value)
-        if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
-            return render_tableau(value)
-        if type(value) is tuple:
-            return render_diagram(value)
-        raise ValueError(f"cannot render {type(value).__name__}")
-    if fmt == "tikz":
-        if isinstance(value, TunnelHookCovering):
-            return tikz_thc(value)
-        if isinstance(value, SpecialRimHookTableau):
-            return tikz_srht(value)
-        if isinstance(value, Pair):
-            return tikz_pair(value)
-        if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
-            return tikz_tableau(value)
-        if type(value) is tuple:
-            return tikz_diagram(value)
-        raise ValueError(f"cannot render {type(value).__name__} as TikZ")
-    raise ValueError(f"unknown format {fmt!r}")
+    """Dispatch renderer used by the command line, by the value's
+    :func:`~kostka.serialize.kind_of`."""
+    drawers = _DRAWERS.get(fmt)
+    if drawers is None:
+        raise ValueError(f"unknown format {fmt!r}")
+    kind = kind_of(value)
+    if kind not in drawers:
+        where = " as TikZ" if fmt == "tikz" else ""
+        raise ValueError(f"cannot render {type(value).__name__}{where}")
+    return drawers[kind](value)

@@ -28,6 +28,25 @@ from .tableaux import Rows, shape_of
 from .tunnelhooks import TunnelHookCovering
 
 
+_RECORD_KINDS = {TunnelHookCovering: "thc", SpecialRimHookTableau: "srht", Pair: "pair",
+                 Trace: "trace", TransitionMatrix: "matrix"}
+
+
+def kind_of(value: Any) -> str:
+    """The kind of a package object: "thc", "srht", "pair", "trace", "matrix",
+    "tableau" or "sequence" (a composition or permutation); ValueError for
+    anything else.  The only code that tells objects apart.  A record is a
+    tuple equal to the plain tuple of its fields, but never ``type(value) is
+    tuple``, so only a plain tuple is a bare tableau (at least one row, each
+    a plain tuple) or a sequence (any other, the empty one included)."""
+    if type(value) is tuple:
+        return "tableau" if value and all(type(row) is tuple for row in value) else "sequence"
+    kind = _RECORD_KINDS.get(type(value))
+    if kind is None:
+        raise ValueError(f"not a package object: {type(value).__name__}")
+    return kind
+
+
 def thc_to_obj(covering: TunnelHookCovering) -> dict:
     return {"kind": "thc", "shape": list(covering.shape), "perm": list(covering.perm)}
 
@@ -116,9 +135,9 @@ def parse_object(data: Any):
             covering, tableau = left, right
         else:
             raise ValueError(f"unknown pair family {kind!r}")
-        if not isinstance(covering, TunnelHookCovering):
+        if kind_of(covering) != "thc":
             raise ValueError("pair is missing its covering side")
-        if not (type(tableau) is tuple and all(isinstance(r, tuple) for r in tableau)):
+        if kind_of(tableau) != "tableau":
             raise ValueError("pair is missing its tableau side")
         return Pair(kind, covering, tableau)
     kind = data.get("kind")
@@ -127,6 +146,8 @@ def parse_object(data: Any):
         return TunnelHookCovering(shape, perm)
     if kind == "tableau":
         rows = tuple(_ints(row, "a tableau row") for row in _list(data.get("rows"), "rows"))
+        if not rows:
+            raise ValueError("a tableau has at least one row")
         if "shape" in data and _ints(data["shape"], "shape") != shape_of(rows):
             raise ValueError("tableau shape field disagrees with its rows")
         return rows
@@ -141,7 +162,7 @@ def parse_object(data: Any):
     if kind == "trace":
         pairs = tuple(parse_object(p) for p in _list(data.get("pairs"), "pairs"))
         maps = tuple(_list(data.get("maps"), "maps"))
-        if not all(isinstance(p, Pair) for p in pairs) or not all(type(m) is str for m in maps):
+        if not all(kind_of(p) == "pair" for p in pairs) or not all(type(m) is str for m in maps):
             raise ValueError("a trace holds pair objects and map names")
         return Trace(pairs, maps)
     if kind == "matrix":
@@ -158,25 +179,13 @@ def parse_object(data: Any):
     raise ValueError(f"unknown object kind {kind!r}")
 
 
+_ENCODERS = {"thc": thc_to_obj, "srht": srht_to_obj, "pair": pair_to_obj, "trace": trace_to_obj,
+             "matrix": matrix_to_obj, "tableau": tableau_to_obj, "sequence": list}
+
+
 def to_obj(value: Any) -> Any:
-    """JSON-ready form of any package object (tableaux are rows tuples).
-    The records are tuples, so they are tested first, and a bare tableau or
-    composition must be a plain tuple."""
-    if isinstance(value, TunnelHookCovering):
-        return thc_to_obj(value)
-    if isinstance(value, SpecialRimHookTableau):
-        return srht_to_obj(value)
-    if isinstance(value, Pair):
-        return pair_to_obj(value)
-    if isinstance(value, Trace):
-        return trace_to_obj(value)
-    if isinstance(value, TransitionMatrix):
-        return matrix_to_obj(value)
-    if type(value) is tuple and value and all(isinstance(r, tuple) for r in value):
-        return tableau_to_obj(value)
-    if type(value) is tuple:
-        return list(value)
-    raise ValueError(f"cannot serialize {type(value).__name__}")
+    """JSON-ready form of any package object, by its :func:`kind_of`."""
+    return _ENCODERS[kind_of(value)](value)
 
 
 def dumps(value: Any) -> str:

@@ -191,9 +191,9 @@ class TunnelHookCovering(_CoveringFields):
     ``chi``, ``psi`` and ``theta``) call it, for their image coverings.
 
     A covering hashes and compares as the tuple (shape, perm), in C, so it
-    equals any tuple with the same entries: code that tells objects apart
-    tests the record types before plain tuples.  ``_replace`` and ``_make``
-    skip the checks too; the package does not call them.
+    equals any tuple with the same entries: tell objects apart with
+    :func:`kostka.serialize.kind_of`.  ``_replace`` and ``_make`` skip the
+    checks too; the package does not call them.
     """
 
     __slots__ = ()

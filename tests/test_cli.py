@@ -68,6 +68,14 @@ def test_verify_sym_cap_refusal(capsys):
     assert err.startswith("invalid input: refusing degree 11 > cap 10")
 
 
+def test_verify_involutions_cap_refusal(capsys):
+    # the suites count pairs, not matrix entries
+    code, out, err = run_cli(capsys, "verify", "--identity", "involutions", "--n", "11")
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: refusing degree 11 > cap 10: four maps over every pair of "
+                   "degree <= 11 (pairs grow roughly 5x per degree); pass --cap 11 to proceed\n")
+
+
 def test_verify_involutions(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--identity", "involutions")
     assert code == 0
@@ -365,6 +373,15 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["matrix", "--n", "11", "--kind", "NK"], None, 2),
         (["involution", "run", "--alg", "theta", "--input", "in.json"], _THETA_C_PAIR, 2),
         (["involution", "run", "--alg", "theta", "--input", "in.json"], _THETA_D_PAIR, 2),
+        (["enumerate", "immaculate", "--shape", "", "--content", ""], None, 2),
+        (["enumerate", "ssyt", "--shape", "", "--content", ""], None, 2),
+        (["enumerate", "thc", "--content", "", "--shape", ""], None, 2),
+        (["enumerate", "srht", "--shape", ""], None, 2),
+        (["involution", "run", "--alg", "psi", "--input", "in.json"], [], 2),
+        (["involution", "run", "--alg", "psi", "--input", "in.json"],
+         {"kind": "tableau", "rows": []}, 2),
+        (["involution", "run", "--alg", "psi", "--input", "in.json"],
+         {**_BARE_TABLEAU_PAIR, "right": []}, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

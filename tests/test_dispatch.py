@@ -1,10 +1,11 @@
 """Every record type through each dispatcher that tells objects apart:
 ``kostka validate``, ``kostka render`` (ASCII and TikZ), ``serialize.dumps``
-and ``serialize.loads``.  The records are tuples, so each dispatcher must
-test them before its bare-tableau and bare-composition branches, which take
-plain tuples only.  A matrix has no drawing and nothing to validate, and a
-pair whose tableau side is a covering is refused: both would reach the
-plain-tuple branches if those took any tuple."""
+and ``serialize.loads``.  Each reads the kind that ``serialize.kind_of``
+gives.  The records are tuples, so ``kind_of`` takes a bare tableau or
+composition from plain tuples only.  A matrix has no drawing and nothing to
+validate, and a pair whose tableau side is a covering is refused: both would
+be read as bare tuples if any tuple were.  The empty tuple is a sequence,
+never a tableau, and no command accepts it."""
 
 import hashlib
 import json
@@ -18,6 +19,8 @@ DATA = Path(__file__).parent / "data"
 THC = {"kind": "thc", "shape": [2, 1], "perm": [1, 2]}
 NOTHING = (2, "invalid input: nothing to validate")
 NO_TABLEAU = (2, "invalid input: pair is missing its tableau side")
+NO_ENTRY = (2, "invalid input: a bare sequence has at least one entry")
+NO_ROW = (2, "invalid input: a tableau has at least one row")
 
 # name -> (JSON input, the name of the type loads gives or the error it raises,
 #          validate's verdict, render --format ascii, render --format tikz);
@@ -65,6 +68,22 @@ CASES = {
     "composition": (
         [2, 1], "tuple", {"reason": "nothing to validate", "valid": False},
         (0, "50a11562280cd42e"), (0, "f2ca484e745a5cf2"),
+    ),
+    "empty sequence": (
+        [], "tuple", {"reason": "a bare sequence has at least one entry", "valid": False},
+        NO_ENTRY, NO_ENTRY,
+    ),
+    "tableau with no rows": (
+        {"kind": "tableau", "rows": []},
+        ValueError("a tableau has at least one row"),
+        {"reason": "a tableau has at least one row", "valid": False},
+        NO_ROW, NO_ROW,
+    ),
+    "pair with an empty tableau side": (
+        {"setKind": "C", "left": {"kind": "thc", "shape": [2], "perm": [1]}, "right": []},
+        ValueError("pair is missing its tableau side"),
+        {"reason": "pair is missing its tableau side", "valid": False},
+        NO_TABLEAU, NO_TABLEAU,
     ),
 }
 
