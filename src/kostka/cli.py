@@ -148,12 +148,13 @@ def cmd_verify(args) -> int:
 
 
 def _parse_parts(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x != "")
+    fields = text.split(",")
+    if "" in fields:
+        raise ValueError(f"empty field in comma list {text!r}")
+    return tuple(int(x) for x in fields)
 
 
 def cmd_enumerate(args) -> int:
-    if args.what not in ("compositions", "partitions") and not _parse_parts(args.shape):
-        raise ValueError("--shape needs at least one part")
     if args.what == "compositions":
         objects = compositions_of(args.n)
     elif args.what == "partitions":

@@ -338,7 +338,9 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
     nowhere else, and the permutation fixes i.  v is the moving value
     M - l + k and r the row containing v whose permutation image is least.
     Rows weakly increase, so a row's last entry is its maximum, and it holds
-    nothing but v exactly when its first and last entries are v.
+    nothing but v exactly when its first and last entries are v.  Row i is
+    asked only once rows i+1..l are frozen, and those hold only their own,
+    larger values, so "v occurs nowhere else" reads rows 1..i-1 alone.
     """
     rows = pair.tableau
     sigma = pair.thc.perm
@@ -350,7 +352,7 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
         row = rows[i - 1]
         if sigma[i - 1] != i or row[0] != v or row[-1] != v:
             return False
-        return all(v not in rows[j] for j in range(ell) if j != i - 1)
+        return all(v not in rows[j] for j in range(i - 1))
 
     k = ell
     while k >= 1 and frozen(k):

@@ -4,7 +4,7 @@ Each Kostka matrix is counted by one Pieri walk over content prefixes, which
 grows shapes value by value and yields every column's entries, without
 building any tableau.  The walk expands each (shape, copies of the next
 value) once per matrix and keeps the image for the rest of that call, so
-later prefixes only add counts.  The Sym inverse is counted too, by peeling
+later contents only add counts.  The Sym inverse is counted too, by peeling
 special rim hooks off each shape; the NSym inverse sums the signs of
 enumerated hook coverings.  Listing rim hook tableaux (and, in the tests,
 Jacobi-Trudi terms) stays as an independent route to the Sym inverse.
@@ -70,7 +70,7 @@ def _signed_counts(
 ) -> TransitionMatrix:
     """Entry (row, col): the sum of the weights of the terms of col whose
     label is row; ``terms(col)`` yields (weight, row label) pairs and is
-    called once per column, in label order."""
+    called once per column."""
     labels = _labels(n, index_kind)
     index = {label: i for i, label in enumerate(labels)}
     entries = [[0] * len(labels) for _ in labels]
@@ -107,16 +107,12 @@ def _pieri(state: IntSeq, c: int, strip: bool) -> tuple[IntSeq, ...]:
 def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
     """``terms`` for :func:`_signed_counts`: (count, shape) for every shape
     the content fills, its values 1, 2, ... placed in turn from the empty
-    shape.  The state counts of each content prefix stay on ``path`` for the
-    contents after it, so in label order (depth-first over the prefixes)
-    every prefix is grown once; the last value's states are not kept.
+    shape.
 
     A state's image under c copies of a value depends only on (state, c), so
     ``images`` keeps each :func:`_pieri` result for the rest of the call:
     every (state, c) is expanded once per matrix, and a step only adds each
     state's count into the shapes of its image."""
-    path = [{(): 1}]  # path[k]: state counts after the first k values
-    placed: IntSeq = ()  # the values path covers
     images: dict[tuple[IntSeq, int], tuple[IntSeq, ...]] = {}
     shapes: dict[IntSeq, IntSeq] = {}  # one tuple per shape, shared by every image
 
@@ -132,16 +128,10 @@ def _fillings(strip: bool) -> Callable[[IntSeq], Iterable[tuple[int, IntSeq]]]:
         return out
 
     def terms(content: IntSeq) -> Iterable[tuple[int, IntSeq]]:
-        nonlocal placed
-        head = content[:-1]
-        k = 0
-        while k < min(len(placed), len(head)) and placed[k] == head[k]:
-            k += 1
-        del path[k + 1 :]
-        for c in head[k:]:
-            path.append(grow(path[-1], c))
-        placed = head
-        return ((count, shape) for shape, count in grow(path[-1], content[-1]).items())
+        counts: dict[IntSeq, int] = {(): 1}
+        for c in content:
+            counts = grow(counts, c)
+        return ((count, shape) for shape, count in counts.items())
 
     return terms
 

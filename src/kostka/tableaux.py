@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .core import dec, dominates, is_composition, is_partition
+from .core import is_composition, is_partition
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -58,39 +58,28 @@ def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tu
 
     ``content`` is a weak composition giving the multiplicity of each value
     1..len(content); trailing zeros are significant (they forbid the values).
-    A cell whose shape does not dominate the nonzero content is empty and
-    returns at once: row i starts with a value >= i, so the values <= k sit
-    in rows 1..k, and dropping the unused values keeps a filling valid.
     """
     if not is_composition(shape):
         raise ValueError(f"shape {shape} is not a composition")
-    if not dominates(shape, _nonzero(shape, content)):
-        return ()
+    _check_content(shape, content)
     return _fill(shape, content, strict=False)
 
 
 def enumerate_ssyt(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Rows, ...]:
-    """All semistandard Young tableaux of the given partition shape and content.
-
-    A cell is empty, and returns at once, exactly when the shape does not
-    dominate the content sorted into a partition (Bender-Knuth moves permute
-    a content without changing the number of fillings).
-    """
+    """All semistandard Young tableaux of the given partition shape and content."""
     if not is_partition(shape):
         raise ValueError(f"shape {shape} is not a partition")
-    if not dominates(shape, dec(_nonzero(shape, content))):
-        return ()
+    _check_content(shape, content)
     return _fill(shape, content, strict=True)
 
 
-def _nonzero(shape: Sequence[int], content: Sequence[int]) -> tuple[int, ...]:
-    """The content's nonzero entries, in order; ValueError unless the content
-    is nonnegative and its total is the shape's size."""
+def _check_content(shape: Sequence[int], content: Sequence[int]) -> None:
+    """ValueError unless the content is nonnegative and its total is the
+    shape's size."""
     if any(c < 0 for c in content):
         raise ValueError(f"content {content} has a negative entry")
     if sum(shape) != sum(content):
         raise ValueError("shape size and content total differ")
-    return tuple(c for c in content if c)
 
 
 def relabelling(content: Sequence[int]) -> tuple[tuple[int, ...], Callable]:

@@ -382,6 +382,9 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
          {"kind": "tableau", "rows": []}, 2),
         (["involution", "run", "--alg", "psi", "--input", "in.json"],
          {**_BARE_TABLEAU_PAIR, "right": []}, 2),
+        (["enumerate", "srht", "--shape", "2,,1"], None, 2),
+        (["enumerate", "srht", "--shape", "2,1,"], None, 2),
+        (["enumerate", "ssyt", "--shape", "2,1", "--content", "1,,2"], None, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
