@@ -4,10 +4,12 @@ Each Kostka matrix is counted by one Pieri walk over content prefixes, which
 grows shapes value by value and yields every column's entries, without
 building any tableau.  The walk expands each (shape, copies of the next
 value) once per matrix and keeps the image for the rest of that call, so
-later contents only add counts.  The Sym inverse is counted too, by peeling
-special rim hooks off each shape; the NSym inverse sums the signs of
-enumerated hook coverings.  Listing rim hook tableaux (and, in the tests,
-Jacobi-Trudi terms) stays as an independent route to the Sym inverse.
+later contents only add counts.  Both inverses are counted as well, each by
+peeling one hook at a time and keeping every minor's counts for the rest of
+the call: the Sym inverse peels the special rim hook that ends in the last
+row, the NSym inverse the tunnel hook of the first row.  Listing rim hook
+tableaux (and, in the tests, Jacobi-Trudi terms and tunnel hook coverings)
+stays as an independent route to each inverse.
 
 Rows and columns are labeled by the canonical composition order (the NSym
 pair) or by partitions in reverse-lexicographic order (the Sym pair).  All
@@ -23,7 +25,8 @@ its right factor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import IntSeq, compositions_of, dec, flatten, partitions_of, perm_sign
 from .rimhooks import enumerate_srht, srht_content, srht_sign
@@ -77,7 +80,9 @@ def _signed_counts(
     for j, col in enumerate(labels):
         for weight, row in terms(col):
             entries[index[row]][j] += weight
-    return TransitionMatrix(n, index_kind, labels, tuple(map(tuple, entries)))
+    for i, row in enumerate(entries):  # each list goes as its tuple comes
+        entries[i] = tuple(row)
+    return TransitionMatrix(n, index_kind, labels, tuple(entries))
 
 
 def _pieri(state: IntSeq, c: int, strip: bool) -> tuple[IntSeq, ...]:
@@ -142,13 +147,73 @@ def nsym_K(n: int) -> TransitionMatrix:
     return _signed_counts(n, "compositions", _fillings(strip=False))
 
 
+_NO_TERMS: Mapping[IntSeq, int] = MappingProxyType({})  # shared by every empty minor
+
+
+def _peel(rows: IntSeq, free: IntSeq, memo: dict) -> Mapping[IntSeq, int]:
+    """Signed content counts of the tunnel hook coverings of ``rows`` whose
+    hooks end on the free diagonals ``free``, given as increasing offsets
+    from the first row.
+
+    A covering of beta is a permutation: row r's hook ends on diagonal
+    perm_r and has weight beta_r + perm_r - r.  Peeling row 1, the i-th
+    smallest free offset u (from 0) gives weight rows[0] + u, kept in the
+    content unless 0 and no covering if negative.  It leaves i smaller
+    values to the rows below, so it adds i inversions: sign (-1)^i.  The
+    rows below see only their lengths and the offsets left, read from the
+    next row (each one less), so ``memo`` keys a minor by that pair and
+    keeps its counts for every column of the call.
+
+    Row j below takes offset o only if rest_j + o - j >= 0.  When the least
+    offset left is below every such floor, no covering of the minor exists,
+    and every larger u leaves an offset at least as small: the scan ends.
+    """
+    first, rest = rows[0], rows[1:]
+    floor = min((j - length for j, length in enumerate(rest)), default=0)
+    shifted = tuple(o - 1 for o in free)
+    out: dict[IntSeq, int] = {}
+    vanishing = None  # the weight-0 branch: its contents may meet and cancel others
+    for i, u in enumerate(free):
+        weight = first + u
+        if weight < 0:
+            continue
+        below = shifted[:i] + shifted[i + 1 :]
+        if below and below[0] < floor:
+            break
+        minor = memo.get((rest, below))
+        if minor is None:
+            minor = memo[rest, below] = _peel(rest, below, memo)
+        sign = -1 if i & 1 else 1
+        if weight:  # distinct first entries: no other branch's content collides
+            out.update({(weight,) + content: sign * count for content, count in minor.items()})
+        else:
+            vanishing = minor, sign
+    if vanishing:
+        minor, sign = vanishing
+        for content, count in minor.items():
+            total = out.get(content, 0) + sign * count
+            if total:
+                out[content] = total
+            else:
+                del out[content]
+    return out or _NO_TERMS
+
+
 def nsym_Kinv(n: int) -> TransitionMatrix:
-    """Entry (alpha, beta): signed count of hook coverings of shape beta with
-    content alpha, one :func:`delta_choices` search per shape."""
+    """Entry (alpha, beta): signed count of tunnel hook coverings of shape
+    beta with content alpha, i.e. of the terms of the immaculate
+    Jacobi-Trudi determinant.  Column beta peels row 1's hook (:func:`_peel`)
+    on the offsets 0..l-1.  The minors' counts are shared by every column of
+    the call and dropped with it; a column, of degree n, is never a minor, so
+    it is not kept."""
+    memo: dict[tuple[IntSeq, IntSeq], Mapping[IntSeq, int]] = {((), ()): {(): 1}}
     return _signed_counts(
         n,
         "compositions",
-        lambda beta: ((perm_sign(perm), flatten(delta)) for perm, delta in delta_choices(beta)),
+        lambda beta: (
+            (count, alpha)
+            for alpha, count in _peel(beta, tuple(range(len(beta))), memo).items()
+        ),
     )
 
 

@@ -7,6 +7,7 @@ over cell sets, tableau counts by filtering all multiset arrangements,
 tableau order by a backtracker that tries every value in every cell,
 pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
+the NSym inverse by listing every tunnel hook covering of each shape,
 matrix products by the full triple loop, and the exhaustive involution check
 by applying the map twice to every pair.
 """
@@ -252,6 +253,19 @@ def sym_Kinv_by_terms(n):
     ``delta_choices`` permutation each: the covering route the library's
     rim hook peel replaced."""
     return _signed_counts(n, "partitions", jacobi_trudi_terms)
+
+
+def nsym_Kinv_by_coverings(n):
+    """K^-1 of NSym summed over every tunnel hook covering of each shape,
+    one ``delta_choices`` permutation each: the listing route the library's
+    first-row hook peel replaced."""
+    return _signed_counts(
+        n,
+        "compositions",
+        lambda beta: (
+            (core.perm_sign(perm), core.flatten(delta)) for perm, delta in delta_choices(beta)
+        ),
+    )
 
 
 def verify_cell_per_pair(map_name, cell):

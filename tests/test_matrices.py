@@ -8,7 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kostka import core, matrices as mx, tableaux
-from oracles import fraction_inverse, mat_mul_dense, sym_Kinv_by_terms
+from oracles import fraction_inverse, mat_mul_dense, nsym_Kinv_by_coverings, sym_Kinv_by_terms
 
 
 def test_nsym_k_degree_two():
@@ -70,6 +70,8 @@ def test_kostka_counts_at_degrees_9_and_10(data):
     (mx.nsym_K, 10, "a4b434750188087f89b9a864c3917f593afe127429b1ee844d459226007c7b3d"),
     (mx.sym_K, 16, "fdd3280fee55258c257fc4131ac477c39f1968d7360f0c89f89af51a50dd309c"),
     (mx.sym_K, 18, "2488e6812f14619d9175b4fd4fb6e9eec8f5d42ea06dd4a932b663d3888f4416"),
+    (mx.nsym_Kinv, 10, "9088cfdefefe2a8345aed2770aa1b76b37bafa4361b444f57f3d4b3139db3d22"),
+    (mx.nsym_Kinv, 11, "0f10723b783c9b43b1caf5fd41900173ba149758cab7e2a7b74f98f80df61bd0"),
 ])
 def test_kostka_digests_past_the_enumerators(build, n, digest):
     assert hashlib.sha256(repr(build(n).entries).encode()).hexdigest() == digest
@@ -100,6 +102,36 @@ def test_pieri_expands_each_state_once_per_call(monkeypatch, build, n, labels, s
     calls.clear()
     assert build(n) == first
     assert calls == Counter(met)
+
+
+class _Forgetful(dict):
+    """A memo that keeps only what it starts with."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_nsym_kinv_peel_expands_each_minor_once_per_call(monkeypatch):
+    peel = mx._peel
+    calls = Counter()
+
+    def counting(rows, free, memo):
+        calls[rows, free] += 1
+        return peel(rows, free, memo)
+
+    monkeypatch.setattr(mx, "_peel", counting)
+    # every (rows, free) that a walk without the memo expands, with repeats
+    for beta in core.compositions_of(7):
+        mx._peel(beta, tuple(range(len(beta))), _Forgetful({((), ()): {(): 1}}))
+    met = Counter(calls.keys())
+    assert calls.total() > 2 * len(met)  # minors recur, within and across columns
+    calls.clear()
+    first = mx.nsym_Kinv(7)
+    assert calls == met
+    # nothing outlives the call: a second one expands every minor again
+    calls.clear()
+    assert mx.nsym_Kinv(7) == first
+    assert calls == met
 
 
 def test_sym_k_fixtures():
@@ -146,6 +178,14 @@ def test_sym_kinv_four_routes_agree(n):
     assert from_peel == from_coverings
     assert from_peel.entries == from_rim_hooks.entries
     assert from_peel.entries == from_elimination.entries
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nsym_kinv_peel_matches_coverings(n):
+    from_peel = mx.nsym_Kinv(n)
+    assert from_peel == nsym_Kinv_by_coverings(n)
+    if n <= 6:
+        assert from_peel == mx.exact_inverse_matrix(mx.nsym_K(n))
 
 
 @pytest.mark.parametrize("n", range(8, 11))

@@ -79,7 +79,6 @@ def test_enumerate_immaculate_against_filter_oracle(n):
     for alpha in comps:
         for content in _contents(n, comps):
             ours = tableaux.enumerate_immaculate(alpha, content)
-            assert ours == tableaux._fill(alpha, content, strict=False)
             assert sorted(ours) == sorted(immaculate_by_filter(alpha, content))
             assert all(tableaux.is_immaculate(rows) for rows in ours)
             nonzero, relabel = tableaux.relabelling(content)
@@ -140,7 +139,6 @@ def test_enumerate_ssyt_against_filter_oracle(n):
     for lam in parts:
         for content in _contents(n, parts):
             ours = tableaux.enumerate_ssyt(lam, content)
-            assert ours == tableaux._fill(lam, content, strict=True)
             assert sorted(ours) == sorted(ssyt_by_filter(lam, content))
             assert all(tableaux.is_ssyt(rows) for rows in ours)
             nonzero, relabel = tableaux.relabelling(content)
