@@ -101,16 +101,22 @@ def cmd_matrix(args) -> int:
 
 def _verify_identity(identity: str, n: int) -> dict | None:
     """None on success, else a counterexample record."""
-    sym = identity in ("kkinv", "kinvk")
     for m in range(1, n + 1):
-        k, kinv = (mx.sym_K(m), mx.sym_Kinv(m)) if sym else (mx.nsym_K(m), mx.nsym_Kinv(m))
-        product = mx.mat_mul(k, kinv) if identity in ("kkinv", "nk-nkinv") else mx.mat_mul(kinv, k)
-        bad = mx.first_non_identity(product)
+        bad = _identity_at(identity, m)
         if bad is not None:
             row, col, value = bad
             return {"identity": identity, "degree": m, "row": list(row), "col": list(col),
                     "value": value}
     return None
+
+
+def _identity_at(identity: str, m: int) -> tuple | None:
+    """The first entry of degree m's product off the identity, or None.  One
+    degree per call, so its matrices are freed before the next is built."""
+    sym = identity in ("kkinv", "kinvk")
+    k, kinv = (mx.sym_K(m), mx.sym_Kinv(m)) if sym else (mx.nsym_K(m), mx.nsym_Kinv(m))
+    product = mx.mat_mul(k, kinv) if identity in ("kkinv", "nk-nkinv") else mx.mat_mul(kinv, k)
+    return mx.first_non_identity(product)
 
 
 def _verify_involutions(n: int, workers: int) -> dict | None:

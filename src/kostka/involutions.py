@@ -13,7 +13,8 @@ sequence of the covering:
 * D(lam, mu) / E(lam, mu): as C but the covering's content rearranges to
   lam and the tableau has content mu; D additionally requires the tableau
   to be semistandard.  Map on D: ``rho``, which alternates ``psi`` with the
-  cell-block swap ``theta`` through E until it lands back in D.
+  cell-block swap ``theta`` through E until it lands back in D.  ``theta``
+  acts on the E pairs outside D only, and its image is always an E pair.
 
 Each map fixes exactly the diagonal pairs (left index equal to right index)
 and flips the covering's sign everywhere else, so the signed pair counts
@@ -417,10 +418,9 @@ def theta_selection(rows: Rows) -> tuple[int, int]:
 
 def theta(pair: Pair) -> Pair:
     """Swap the cell blocks right of the bad column between rows t-1 and t,
-    and swap the same two positions of the permutation (right to left).  A
-    C image stays C, and a D/E image is E unchecked: ``theta`` is an
-    involution on the E pairs outside D, so its image, a ``theta`` input,
-    has a bad cell."""
+    and swap the same two positions of the permutation (right to left).  The
+    image is E unchecked: ``theta`` is an involution on the E pairs outside
+    D, so its image, a ``theta`` input, has a bad cell."""
     t, i = theta_selection(pair.tableau)
     rows = pair.tableau
     above = rows[t - 2]
@@ -429,7 +429,7 @@ def theta(pair: Pair) -> Pair:
     new_row = row[:i] + above[i - 1 :]
     new_rows = rows[: t - 2] + (new_above, new_row) + rows[t:]
     covering = TunnelHookCovering._of(shape_of(new_rows), swap_positions(pair.thc.perm, t - 1))
-    return Pair("C" if pair.kind == "C" else "E", covering, new_rows)
+    return Pair("E", covering, new_rows)
 
 
 # -- rho on D ---------------------------------------------------------------

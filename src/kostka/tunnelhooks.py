@@ -91,31 +91,22 @@ class GBPRDiagram(_GBPRFields):
             return "R"
         return "P"
 
-    def is_grey(self, r: int, c: int) -> bool:
-        if c == 0:
-            return True
-        return 1 <= r <= len(self.shape) and 1 <= c <= self.nu[r - 1]
-
 
 def boundary_cells(diagram: GBPRDiagram, i: int) -> list[Cell]:
     """Non-grey cells of row i adjacent (8 directions) to grey or the wall.
 
-    These form one contiguous run starting at the first non-grey cell.
+    Grey fills a prefix of every row, so the run is read off the profile:
+    columns nu_i + 1 .. M + 1, with M the largest nu over the rows i - 1,
+    i and i + 1 that exist.  Column 0 is the wall, so c = 1 always
+    qualifies.  Any other cell (i, c) qualifies when a neighbour is grey;
+    the least neighbour column it can use is c - 1, and a row's column
+    c - 1 is grey exactly when c - 1 <= that row's nu.  So c qualifies
+    exactly when c <= M + 1, and the run starts at the first non-grey
+    cell, nu_i + 1 <= M + 1.
     """
-    cells: list[Cell] = []
-    c = diagram.nu[i - 1] + 1
-    while True:
-        adjacent = any(
-            diagram.is_grey(rr, cc)
-            for rr in (i - 1, i, i + 1)
-            for cc in (c - 1, c, c + 1)
-            if (rr, cc) != (i, c)
-        )
-        if not adjacent:
-            break
-        cells.append((i, c))
-        c += 1
-    return cells
+    nu = diagram.nu
+    reach = max(nu[max(i - 2, 0) : i + 1])
+    return [(i, c) for c in range(nu[i - 1] + 1, reach + 2)]
 
 
 def available_terminals(diagram: GBPRDiagram, r: int) -> list[Cell]:
@@ -325,8 +316,9 @@ def delta_choices(shape: IntSeq) -> tuple[tuple[Perm, IntSeq], ...]:
     the uncut search.  A larger perm_r leaves s where it is, so the first
     dead candidate for row r ends the loop over them.  Not cached: the
     involution verifier keeps the coverings of the degree it checks in its
-    index (``involutions._index``), and the other callers (the NSym inverse,
-    rim hook listings, content filters) pay one search per call.
+    index (``involutions._index``), and the other callers (``enumerate_thc``,
+    ``rimhooks.enumerate_srht``, ``matrices.jacobi_trudi_terms`` and the
+    ``walks`` sampler of ``perfbench``) pay one search per call.
     """
     ell = len(shape)
     low = [0] + [max(1, r - shape[r - 1]) for r in range(1, ell + 1)]  # low[r] = L_r

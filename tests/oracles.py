@@ -8,6 +8,7 @@ tableau order by a backtracker that tries every value in every cell,
 pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
 the NSym inverse by listing every tunnel hook covering of each shape,
+a hook's boundary cells by probing the eight neighbours of each cell,
 matrix products by the full triple loop, and the exhaustive involution check
 by applying the map twice to every pair.
 """
@@ -266,6 +267,32 @@ def nsym_Kinv_by_coverings(n):
             (core.perm_sign(perm), core.flatten(delta)) for perm, delta in delta_choices(beta)
         ),
     )
+
+
+def boundary_cells_by_probe(diagram, i):
+    """Non-grey cells of row i adjacent (8 directions) to grey or the wall,
+    found by probing every neighbour of each cell from the first non-grey
+    one on: the probe the library's read of the grey profile replaced."""
+
+    def is_grey(r, c):
+        if c == 0:
+            return True
+        return 1 <= r <= len(diagram.shape) and 1 <= c <= diagram.nu[r - 1]
+
+    cells = []
+    c = diagram.nu[i - 1] + 1
+    while True:
+        adjacent = any(
+            is_grey(rr, cc)
+            for rr in (i - 1, i, i + 1)
+            for cc in (c - 1, c, c + 1)
+            if (rr, cc) != (i, c)
+        )
+        if not adjacent:
+            break
+        cells.append((i, c))
+        c += 1
+    return cells
 
 
 def verify_cell_per_pair(map_name, cell):

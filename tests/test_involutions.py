@@ -728,6 +728,50 @@ def test_verify_cell_rejects_an_image_missing_from_the_set(monkeypatch):
     assert oracle.pair is None
 
 
+def test_verify_cell_rejects_a_partner_of_the_same_sign(monkeypatch):
+    # psi sends the cell's first pair to the second and back: an involution
+    # that keeps the set closed, but both pairs carry sign +1
+    p, p2 = inv.enumerate_pairs("C", *ORBIT_CELL)[:2]
+    assert p.thc.sign() == p2.thc.sign() == 1
+    swap = {p: p2, p2: p}
+    psi = inv.psi
+    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: swap.get(pair) or psi(pair)))
+    for report in (inv.verify_cell("psi", ORBIT_CELL), verify_cell_per_pair("psi", ORBIT_CELL)):
+        assert report.violations == [
+            f"psi failed to reverse sign at {ORBIT_CELL[0]},{ORBIT_CELL[1]}: {p}"
+        ]
+        assert report.pair == p
+
+
+def test_verify_cell_rejects_a_fixed_point_of_negative_sign(monkeypatch):
+    # the diagonal cell holds one pair of sign -1, which the map fixes
+    cell = ((2, 1), (2, 1))
+    negative = inv.enumerate_pairs("C", *ORBIT_CELL)[2]
+    assert negative.thc.sign() == -1
+    monkeypatch.setattr(inv, "enumerate_pairs", lambda kind, left, right: (negative,))
+    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: pair))
+    report = inv.verify_cell("psi", cell)
+    assert report.violations == [f"fixed point of negative sign at {cell[0]}: {negative}"]
+    assert report.pair == negative
+
+
+def test_verify_cell_rejects_a_diagonal_set_of_more_than_one_pair(monkeypatch):
+    # the diagonal cell also holds the four pairs of an off-diagonal cell,
+    # two psi orbits of signed sum 0: every check per pair passes, and the
+    # signed sum is still 1
+    cell = ((2, 1), (2, 1))
+    enumerate_pairs = inv.enumerate_pairs
+
+    def padded(kind, left, right):
+        return enumerate_pairs(kind, left, right) + enumerate_pairs(kind, *ORBIT_CELL)
+
+    monkeypatch.setattr(inv, "enumerate_pairs", padded)
+    report = inv.verify_cell("psi", cell)
+    assert report.violations == [f"diagonal set C[{cell[0]},{cell[0]}] has 5 pairs, want 1"]
+    assert report.pair is None
+    assert (report.pairs_checked, report.fixed_points) == (5, 1)
+
+
 @pytest.mark.parametrize(
     "cell, key, bad",
     [

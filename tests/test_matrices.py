@@ -279,6 +279,23 @@ def test_exact_inverse_rejects_singular():
         mx.exact_integer_inverse([[1, 2], [2, 4]])
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [1, 1, 0], [1, 0, 0]],  # determinant -1
+    ],
+)
+def test_exact_inverse_swaps_rows_past_a_zero_pivot(a):
+    ours = mx.exact_integer_inverse(a)
+    assert tuple(tuple(int(x) for x in row) for row in fraction_inverse(a)) == ours
+
+
+def test_exact_inverse_rejects_a_fractional_inverse():
+    with pytest.raises(ValueError, match="inverse is not an integer matrix"):
+        mx.exact_integer_inverse([[2]])
+
+
 def test_jacobi_trudi_fixtures():
     terms = mx.jacobi_trudi_terms((3, 2, 1))
     assert terms.count((1, (5, 1))) == 1

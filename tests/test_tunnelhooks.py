@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import pytest
+from oracles import boundary_cells_by_probe
 
 from kostka import core, tunnelhooks as th
 
@@ -40,6 +42,29 @@ def test_available_terminals_single_row_and_last_row():
     assert th.available_terminals(th.GBPRDiagram((5,), (0,)), 1) == [(1, 1)]
     d = th.GBPRDiagram((2, 2, 2), (2, 1, 1))
     assert th.available_terminals(d, 3) == [(3, 2)]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 2), (1,), (0,), (-2,), (3, 1, 2)])
+def test_boundary_cells_against_the_probe(shape):
+    # every grey profile with entries 0..3, zero and negative rows included
+    for nu in itertools.product(range(4), repeat=len(shape)):
+        diagram = th.GBPRDiagram(shape, nu)
+        for i in range(1, len(shape) + 1):
+            assert th.boundary_cells(diagram, i) == boundary_cells_by_probe(diagram, i), (nu, i)
+
+
+def test_replay_digest_of_every_covering_up_to_degree_7():
+    # the hooks of all 13,699 coverings, every permutation of every
+    # composition of n <= 7, as the eight-neighbour probe replayed them
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(1, 8):
+        for shape in core.compositions_of(n):
+            for perm in core.permutations_of(len(shape)):
+                digest.update(repr(th.replay_hooks(shape, perm)).encode())
+                count += 1
+    assert count == 13_699
+    assert digest.hexdigest() == "14e3a180e3391872c8ab250eac0e7e4b347ab724a239cd3b67cfc947d81de794"
 
 
 WIDE_COVERING = th.thc_from_perm((8, 7, 7, 4), (1, 3, 4, 2))
