@@ -66,7 +66,6 @@ from .tunnelhooks import (
     GBPRDiagram,
     TunnelHook,
     TunnelHookCovering,
-    available_terminals,
     build_thc,
     enumerate_thc,
     perm_cycles_thc,

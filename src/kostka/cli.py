@@ -216,6 +216,8 @@ def _loose_shape_perm(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
         isinstance(data.get(key), list) for key in ("shape", "perm")
     ):
         raise ValueError('expected {"shape": [...], "perm": [...]}')
+    if not data["shape"]:
+        raise ValueError("a shape has at least one row")
     return sz.parse_object(data["shape"]), sz.parse_object(data["perm"])
 
 

@@ -118,8 +118,8 @@ def _ints(value: Any, what: str) -> tuple[int, ...]:
 def parse_object(data: Any):
     """Typed object from a parsed JSON value; dispatches on the kind tag.
 
-    Raises ValueError for an unknown kind and for a missing or wrong-typed
-    field.
+    Raises ValueError for an unknown kind, for a missing or wrong-typed
+    field, and for a tableau, covering or rim hook tableau with no row.
     """
     if isinstance(data, list):
         return _ints(data, "a bare sequence")  # composition or permutation
@@ -143,6 +143,8 @@ def parse_object(data: Any):
     kind = data.get("kind")
     if kind == "thc":
         shape, perm = _ints(data.get("shape"), "shape"), _ints(data.get("perm"), "perm")
+        if not shape:
+            raise ValueError("a covering has at least one row")
         return TunnelHookCovering(shape, perm)
     if kind == "tableau":
         rows = tuple(_ints(row, "a tableau row") for row in _list(data.get("rows"), "rows"))
@@ -158,7 +160,10 @@ def parse_object(data: Any):
         )
         if any(len(cell) != 2 for path in hooks for cell in path):
             raise ValueError("a hook cell must be [row, column]")
-        return SpecialRimHookTableau(_ints(data.get("shape"), "shape"), hooks)
+        shape = _ints(data.get("shape"), "shape")
+        if not shape:
+            raise ValueError("a rim hook tableau has at least one row")
+        return SpecialRimHookTableau(shape, hooks)
     if kind == "trace":
         pairs = tuple(parse_object(p) for p in _list(data.get("pairs"), "pairs"))
         maps = tuple(_list(data.get("maps"), "maps"))

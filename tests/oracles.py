@@ -9,6 +9,7 @@ pair sets by scanning every covering of the degree for each cell,
 the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
 the NSym inverse by listing every tunnel hook covering of each shape,
 a hook's boundary cells by probing the eight neighbours of each cell,
+a stage's terminal cells by listing one per end row and checking their diagonals,
 matrix products by the full triple loop, and the exhaustive involution check
 by applying the map twice to every pair.
 """
@@ -23,7 +24,7 @@ from kostka import core, involutions as inv
 from kostka.involutions import Pair
 from kostka.matrices import TransitionMatrix, _signed_counts, jacobi_trudi_terms
 from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
-from kostka.tunnelhooks import TunnelHookCovering, delta_choices
+from kostka.tunnelhooks import TunnelHookCovering, delta_choices, diagonal
 
 
 def partition_count(n: int) -> int:
@@ -293,6 +294,25 @@ def boundary_cells_by_probe(diagram, i):
         cells.append((i, c))
         c += 1
     return cells
+
+
+def available_terminals(diagram, r):
+    """Legal terminal cells for a hook starting in row r: one per end row.
+
+    The terminal in row p is the leftmost non-grey cell (p, nu_p + 1); its
+    left neighbor is grey (or the wall).  The terminals occupy distinct
+    diagonals, which is what makes the permutation encoding possible: this
+    checks it at every stage it is asked about, where the library's walk
+    looks up one diagonal.
+    """
+    ell = len(diagram.shape)
+    if not 1 <= r <= ell:
+        raise ValueError(f"row {r} out of range")
+    terminals = [(p, diagram.nu[p - 1] + 1) for p in range(r, ell + 1)]
+    diags = [diagonal(t) for t in terminals]
+    if len(set(diags)) != len(diags):
+        raise ValueError(f"grey profile {diagram.nu} puts two terminals on one diagonal")
+    return terminals
 
 
 def verify_cell_per_pair(map_name, cell):

@@ -333,6 +333,7 @@ def test_usage_error_exit_code():
 
 _THC = {"kind": "thc", "shape": [2, 1], "perm": [1, 2]}
 _SRHT = {"kind": "srht", "shape": [2, 1], "hooks": [[[1, 2], [1, 1]], [[2, 1]]]}
+_EMPTY_THC = {"kind": "thc", "shape": [], "perm": []}
 _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "perm": [1]},
                       "right": [1, 2]}
 
@@ -385,6 +386,16 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
         (["enumerate", "srht", "--shape", "2,,1"], None, 2),
         (["enumerate", "srht", "--shape", "2,1,"], None, 2),
         (["enumerate", "ssyt", "--shape", "2,1", "--content", "1,,2"], None, 2),
+        (["render", "--input", "in.json"], _EMPTY_THC, 2),
+        (["render", "--format", "tikz", "--input", "in.json"], _EMPTY_THC, 2),
+        (["validate", "--input", "in.json"], _EMPTY_THC, 1),
+        (["bijection", "--direction", "thc-to-srht", "--input", "in.json"], _EMPTY_THC, 2),
+        (["bijection", "--direction", "perm-to-thc", "--input", "in.json"],
+         {"shape": [], "perm": []}, 2),
+        (["bijection", "--direction", "perm-to-srht", "--input", "in.json"],
+         {"shape": [], "perm": []}, 2),
+        (["validate", "--input", "in.json"], {"kind": "srht", "shape": [], "hooks": []}, 1),
+        (["render", "--input", "in.json"], {"kind": "srht", "shape": [], "hooks": []}, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

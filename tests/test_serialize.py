@@ -58,3 +58,17 @@ def test_matrix_roundtrip_and_csv():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         sz.parse_object({"kind": "widget"})
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        ({"kind": "tableau", "rows": []}, "a tableau has at least one row"),
+        ({"kind": "thc", "shape": [], "perm": []}, "a covering has at least one row"),
+        ({"kind": "srht", "shape": [], "hooks": []}, "a rim hook tableau has at least one row"),
+    ],
+)
+def test_objects_with_no_row_rejected(data, reason):
+    # the library constructors accept them; the input boundary does not
+    with pytest.raises(ValueError, match=reason):
+        sz.parse_object(data)

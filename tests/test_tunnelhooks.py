@@ -3,7 +3,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from oracles import boundary_cells_by_probe
+from oracles import available_terminals, boundary_cells_by_probe
 
 from kostka import core, tunnelhooks as th
 
@@ -33,15 +33,15 @@ def test_gbpr_negative_entry():
 
 def test_available_terminals_fresh():
     d = th.GBPRDiagram((8, 7, 7, 4), (0, 0, 0, 0))
-    terminals = th.available_terminals(d, 1)
+    terminals = available_terminals(d, 1)
     assert terminals == [(1, 1), (2, 1), (3, 1), (4, 1)]
     assert [th.diagonal(t) for t in terminals] == [1, 2, 3, 4]
 
 
 def test_available_terminals_single_row_and_last_row():
-    assert th.available_terminals(th.GBPRDiagram((5,), (0,)), 1) == [(1, 1)]
+    assert available_terminals(th.GBPRDiagram((5,), (0,)), 1) == [(1, 1)]
     d = th.GBPRDiagram((2, 2, 2), (2, 1, 1))
-    assert th.available_terminals(d, 3) == [(3, 2)]
+    assert available_terminals(d, 3) == [(3, 2)]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4, 2), (1,), (0,), (-2,), (3, 1, 2)])
@@ -185,7 +185,7 @@ def test_build_thc_by_choices_is_bijective_with_perms():
                 seen[covering.perm] = [h.terminal for h in hooks]
                 return
             diagram = GBPRDiagram(shape, tuple(nu))
-            for terminal in th.available_terminals(diagram, r):
+            for terminal in available_terminals(diagram, r):
                 hook = _hook_at(diagram, r, terminal[0])
                 nxt = list(nu)
                 for i, _ in hook.cells:
@@ -197,11 +197,12 @@ def test_build_thc_by_choices_is_bijective_with_perms():
 
 
 def test_build_thc_rejects_illegal_terminal():
-    with pytest.raises(ValueError):
+    # (1, 2) lies on diagonal 0, so the diagonals (0, 2) are no permutation
+    with pytest.raises(ValueError, match="not a permutation"):
         th.build_thc((2, 2), [(1, 2), (2, 1)])
     # the diagonals (2, 1, 3) form a permutation, and (3, 2) lies on the
     # diagonal of the available terminal (2, 1), but it is another cell
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"illegal terminal \(3, 2\) at stage 1"):
         th.build_thc((2, 2, 2), [(3, 2), (1, 1), (3, 1)])
 
 
@@ -220,6 +221,26 @@ def test_public_constructors_keep_their_checks(shape, perm, reason):
         with pytest.raises(ValueError, match=reason):
             build(shape, perm)
     assert th.TunnelHookCovering._of(shape, perm).perm == perm
+
+
+@pytest.mark.parametrize(
+    "shape, nu, reason",
+    [
+        ((1,), (-1,), "grey profile entries must be >= 0"),
+        ((2, 1), (0, 0, 0), "shape and grey profile lengths differ"),
+    ],
+)
+def test_public_gbpr_constructor_keeps_its_checks(shape, nu, reason):
+    # only the stage walk's trusted builder skips them
+    with pytest.raises(ValueError, match=reason):
+        th.GBPRDiagram(shape, nu)
+    assert th.GBPRDiagram._of(shape, nu).nu == nu
+
+
+def test_available_terminals_oracle_rejects_a_shared_diagonal():
+    # (1, 1) and (2, 2) both lie on diagonal 1
+    with pytest.raises(ValueError, match="two terminals on one diagonal"):
+        available_terminals(th.GBPRDiagram((1, 1), (0, 1)), 1)
 
 
 def test_wide_covering_via_explicit_terminals():
