@@ -35,7 +35,10 @@ degree) at a time, and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and each
 interior pair of ``rho``'s walk, an E pair, must pass ``validate_pair``
-with the cell's indices; membership certifies the walk's D ends.
+with the cell's indices; membership certifies the walk's D ends.  The
+set's size must be ``_size``, the Pieri walk's Kostka counts summed over
+the cell's coverings: that certifies the fillings, and the tests' check
+of the NK^-1 peel against the listed coverings certifies the coverings.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
@@ -83,6 +86,7 @@ from .tableaux import (
     relabelling,
     shape_of,
 )
+from .matrices import nsym_K, sym_K
 from .tunnelhooks import TunnelHookCovering, delta_choices
 
 
@@ -165,10 +169,11 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     that fails, when the trace is malformed, does not start and end in D, a
     pair fails :func:`validate_pair` as labelled (E inside the walk), two
     pairs have different indices (``psi`` and ``theta`` conserve both
-    contents), a trace with no step lies off the diagonal (``rho`` walks
-    from every such pair), the maps do not alternate ``psi, theta, ...``
-    as ``rho``'s do, or a step does not replay: pairs[k + 1], label
-    included, must be maps[k] applied to pairs[k]."""
+    contents), a trace takes no step off the diagonal or one on it (``rho``
+    walks from every pair off it and fixes each pair on it), the maps do
+    not alternate ``psi, theta, ...`` as ``rho``'s do, or a step does not
+    replay: pairs[k + 1], label included, must be maps[k] applied to
+    pairs[k]."""
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
         raise ValueError("a trace holds one or more pairs and one map between each two")
@@ -180,6 +185,8 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     left, right = indices.pop()
     if not trace.maps and left != right:
         raise ValueError("a trace with no step must hold a fixed point: its indices differ")
+    if trace.maps and left == right:
+        raise ValueError("a trace on the diagonal takes no step: rho fixes its pair")
     for k, name in enumerate(trace.maps):
         if name != ("psi", "theta")[k % 2]:
             raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
@@ -199,10 +206,10 @@ def _misplaced(pair: Pair, cell: tuple[IntSeq, IntSeq]) -> str | None:
 
 
 @lru_cache(maxsize=1)
-def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Rows, ...]]]:
+def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Rows, ...]], tuple]:
     """The memo of :func:`enumerate_pairs` for one (family, degree): the
-    degree-n coverings bucketed by index, and a dict of tableau fillings
-    keyed by (shape, composition content) that ``enumerate_pairs`` fills.
+    degree-n coverings bucketed by index, a dict of tableau fillings keyed by
+    (shape, composition content) that ``enumerate_pairs`` fills, and :func:`_size`'s counts.
 
     Every bucket holds (covering, content, relabel) entries, the weights as
     :func:`_weights` reads them through ``relabelling`` (the identity for
@@ -218,7 +225,26 @@ def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Ro
             weights = _weights(kind, covering)
             key = shape if kind in ("A", "B") else weights
             buckets.setdefault(key, []).append((covering, *relabelling(weights)))
-    return {key: tuple(bucket) for key, bucket in buckets.items()}, {}
+    # a covering reads a line of the Pieri walk's Kostka matrix: A/B the column
+    # of its (sorted for B) weights, C/D/E the row of its (partition for D) shape
+    matrix = sym_K(n) if kind in ("B", "D") else nsym_K(n)
+    lines = dict(zip(matrix.labels, zip(*matrix.entries) if kind in ("A", "B") else matrix.entries))
+    zero = (0,) * len(matrix.labels)
+    sizes: dict[IntSeq, tuple[int, ...]] = {}
+    for key, bucket in buckets.items():
+        reads = (content if kind == "A" else _weights("D", covering) if kind == "B"
+                 else covering.shape for covering, content, _ in bucket)
+        sizes[key] = tuple(map(sum, zip(*(lines.get(read, zero) for read in reads))))
+    position = {label: i for i, label in enumerate(matrix.labels)}
+    return {key: tuple(bucket) for key, bucket in buckets.items()}, {}, (sizes, position)
+
+
+def _size(kind: str, left: IntSeq, right: IntSeq) -> int:
+    """The size of the pair set, with no filling listed: the Kostka lines
+    its bucket's coverings read, summed, at the cell's other index."""
+    _, _, (sizes, position) = _index(kind, sum(left))
+    key, other = (right, left) if kind in ("A", "B") else (left, right)
+    return sizes[key][position[other]] if key in sizes else 0
 
 
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
@@ -246,7 +272,7 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
         raise ValueError(f"B indices must be partitions, got {left}, {right}")
     if kind in ("D", "E") and not is_partition(left):
         raise ValueError(f"the left index of {kind} must be a partition, got {left}")
-    buckets, fillings = _index(kind, sum(left))
+    buckets, fillings, _ = _index(kind, sum(left))
     fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
     by_shape = kind in ("A", "B")
     out: list[Pair] = []
@@ -532,16 +558,18 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
 
     Checks: the map is an involution, keeps the set closed, reverses the
     covering's sign off its fixed points, fixes exactly the diagonal pairs
-    (which carry sign +1 and are unique), and that the signed pair count is
-    the Kronecker delta.  Closure is membership: each image must be one of
-    the enumerated pairs, whose fillings :func:`enumerate_pairs` validated
-    as they entered its memo.  For ``rho``, whose walks pass through E,
-    each interior pair of the walk from p, an E pair as labelled, must pass
-    :func:`validate_pair` with the cell's indices, and the walk back from q
-    must be it reversed (``psi`` and ``theta`` are involutions).  The rest
-    of :func:`validate_trace` would prove nothing new: membership certifies
-    the walk's ends, ``rho``'s loop alternates the maps, and a replay of
-    the pure ``psi`` and ``theta`` can only give the same pairs.
+    (which carry sign +1 and are unique), that the signed pair count is the
+    Kronecker delta, and that the set holds the :func:`_size` pairs the
+    Pieri walk counts, so no pair is missing or repeated.  Closure is
+    membership: each image must be one of the enumerated pairs, whose
+    fillings :func:`enumerate_pairs` validated as they entered its memo.
+    For ``rho``, whose walks pass through E, each interior pair of the walk
+    from p, an E pair as labelled, must pass :func:`validate_pair` with the
+    cell's indices, and the walk back from q must be it reversed (``psi``
+    and ``theta`` are involutions).  The rest of :func:`validate_trace`
+    would prove nothing new: membership certifies the walk's ends,
+    ``rho``'s loop alternates the maps, and a replay of the pure ``psi``
+    and ``theta`` can only give the same pairs.
     An image outside the set is reported as leaving it when it fails
     :func:`validate_pair` or has other indices, else as missing from it.
 
@@ -553,8 +581,8 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     counts of the report still cover every pair.
     The report holds at most one violation: checking stops at the first.
     A violation at one pair records the pair whose image broke the rule;
-    the two violations of the whole set (signed sum, diagonal count) record
-    none.
+    the three violations of the whole set (signed sum, diagonal count, pair
+    count) record none.
     """
     kind = _family(map_name)
     apply = _MAPS[map_name][1]
@@ -609,6 +637,8 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
         complain(f"signed sum over {kind}[{left},{right}] is {signed}, want {expected}")
     elif left == right and len(pairs) != 1:
         complain(f"diagonal set {kind}[{left},{left}] has {len(pairs)} pairs, want 1")
+    elif len(pairs) != (size := _size(kind, left, right)):
+        complain(f"{kind}[{left},{right}] has {len(pairs)} pairs, the Pieri walk counts {size}")
     return report
 
 

@@ -336,6 +336,8 @@ _SRHT = {"kind": "srht", "shape": [2, 1], "hooks": [[[1, 2], [1, 1]], [[2, 1]]]}
 _EMPTY_THC = {"kind": "thc", "shape": [], "perm": []}
 _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "perm": [1]},
                       "right": [1, 2]}
+# psi fixes this diagonal D pair, so a step to itself replays, but rho takes no step on it
+_DIAGONAL_PAIR = json.loads(sz.dumps(inv.Pair("D", thc_from_perm((1,), (1,)), ((1,),))))
 
 
 @pytest.mark.parametrize(
@@ -396,6 +398,8 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
          {"shape": [], "perm": []}, 2),
         (["validate", "--input", "in.json"], {"kind": "srht", "shape": [], "hooks": []}, 1),
         (["render", "--input", "in.json"], {"kind": "srht", "shape": [], "hooks": []}, 2),
+        (["validate", "--input", "in.json"],
+         {"kind": "trace", "maps": ["psi"], "pairs": [_DIAGONAL_PAIR] * 2}, 1),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

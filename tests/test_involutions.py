@@ -1,7 +1,6 @@
 import functools
 import itertools
 import multiprocessing
-import re
 import tracemalloc
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import pairs_by_scan, verify_cell_per_pair
 
 from kostka import core, involutions as inv, matrices as mx, tableaux
-from kostka.tunnelhooks import TunnelHookCovering, delta_choices, thc_from_perm
+from kostka.tunnelhooks import delta_choices, thc_from_perm
 
 # -- the running examples ---------------------------------------------------
 
@@ -251,18 +250,6 @@ def test_rho_divergence_example():
     assert tableaux.content_vector(recorded_other, 3) == (3, 2, 1)
 
 
-def test_rho_raises_on_a_repeated_pair(monkeypatch):
-    # with theta replaced by psi the walk steps straight back to its input;
-    # the revisit ends it without enumerating any pair set
-    def no_enumeration(*args):
-        raise AssertionError("rho enumerated a pair set")
-
-    monkeypatch.setattr(inv, "theta", inv.psi)
-    monkeypatch.setattr(inv, "enumerate_pairs", no_enumeration)
-    with pytest.raises(RuntimeError, match="met a pair twice"):
-        inv.rho(RHO_STORY)
-
-
 @seed(20251018)
 @settings(max_examples=100, deadline=None)
 @given(st.data())
@@ -473,7 +460,7 @@ def test_covering_index_holds_one_degree():
     inv.verify_involution("phi", 5)
     inv.verify_involution("psi", 4)
     assert inv._index.cache_info().currsize == 1
-    _, fillings = inv._index("C", 4)
+    _, fillings, _ = inv._index("C", 4)
     assert fillings
     assert {(sum(shape), sum(content)) for shape, content in fillings} == {(4, 4)}
     # one rule for every family: a memo key's content is a composition, so
@@ -521,56 +508,6 @@ def test_verify_involutions_small(map_name):
     assert report.pairs_checked > 0
 
 
-@pytest.mark.parametrize("n", range(2, 5))
-def test_theta_suite(n):
-    # involution and sign reversal on the non-column-strict pairs, with the
-    # two touched weights swapping
-    parts = core.partitions_of(n)
-    for lam, mu in itertools.product(parts, repeat=2):
-        if lam == mu:
-            continue
-        e_pairs = inv.enumerate_pairs("E", lam, mu)
-        d_pairs = set(inv.enumerate_pairs("D", lam, mu))
-        outside = [p for p in e_pairs if inv.Pair("D", p.thc, p.tableau) not in d_pairs]
-        for pair in outside:
-            assert tableaux.bad_cells(pair.tableau)
-            t, _ = inv.theta_selection(pair.tableau)
-            image = inv.theta(pair)
-            assert image.thc.sign() == -pair.thc.sign()
-            before, after = pair.thc.delta(), image.thc.delta()
-            assert after[t - 2] == before[t - 1]
-            assert after[t - 1] == before[t - 2]
-            assert after[: t - 2] == before[: t - 2]
-            assert after[t:] == before[t:]
-            assert inv.theta(image) == pair
-            assert tableaux.bad_cells(image.tableau)
-
-
-def test_verify_cell_rejects_an_image_outside_the_set(monkeypatch):
-    # psi relabelled between C and E is still a sign-reversing involution
-    # without off-diagonal fixed points, but its images are E pairs
-    def relabelled(pair):
-        return inv.psi(pair)._replace(kind="E" if pair.kind == "C" else "C")
-
-    monkeypatch.setitem(inv._MAPS, "psi", ("C", relabelled))
-    report = inv.verify_cell("psi", ((1, 2), (1, 1, 1)))
-    assert report.violations
-    assert report.violations[0].startswith("image leaves C[(1, 2),(1, 1, 1)]")
-
-
-def test_report_records_the_offending_pair(monkeypatch):
-    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: pair))
-    report = inv.verify_involution("psi", 3)
-    assert report.violations[0].startswith("off-diagonal fixed point")
-    assert report.violations[0].endswith(f": {report.pair}")
-    assert inv.validate_pair(report.pair)[0] != inv.validate_pair(report.pair)[1]
-    # a violation of the whole set names no single pair
-    monkeypatch.setattr(inv, "enumerate_pairs", lambda kind, left, right: ())
-    report = inv.verify_cell("psi", ((2,), (2,)))
-    assert report.violations == ["signed sum over C[(2,),(2,)] is 0, want 1"]
-    assert report.pair is None
-
-
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
 def test_orbit_visiting_matches_the_per_pair_check(map_name):
     for cell in inv.index_cells(map_name, 5):
@@ -582,114 +519,6 @@ def test_orbit_visiting_matches_the_per_pair_check(map_name):
             oracle.fixed_points,
             oracle.max_walk,
         )
-
-
-# an orbit {p, q} of psi off the diagonal: p is the cell's first pair
-ORBIT_CELL = ((2, 1), (1, 1, 1))
-
-
-def _first_orbit(map_name, cell):
-    kind = inv._family(map_name)
-    pair = inv.enumerate_pairs(kind, *cell)[0]
-    image = inv.rho(pair)[0] if map_name == "rho" else getattr(inv, map_name)(pair)
-    assert image != pair
-    return pair, image
-
-
-def test_verify_cell_names_the_pair_of_a_broken_involution(monkeypatch):
-    # psi sends p to q, but q to q rather than back to p
-    p, q = _first_orbit("psi", ORBIT_CELL)
-    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: q if pair == q else inv.psi(pair)))
-    for report in (inv.verify_cell("psi", ORBIT_CELL), verify_cell_per_pair("psi", ORBIT_CELL)):
-        assert report.violations == [f"psi is not an involution at {ORBIT_CELL[0]},{ORBIT_CELL[1]}: {p}"]
-        assert report.pair == p
-
-
-def test_verify_cell_checks_the_partner_side_of_an_orbit(monkeypatch):
-    # rho is right everywhere but on the walk back from q, which detours
-    # through a pair of another cell: only the partner's walk is wrong
-    cell = ((3, 2), (2, 2, 1))
-    p, q = _first_orbit("rho", cell)
-    stranger = inv.enumerate_pairs("D", (3, 2), (3, 1, 1))[0]
-
-    def broken(pair):
-        if pair == q:
-            return p, inv.Trace((q, stranger, p), ("psi", "theta"))
-        return inv.rho(pair)
-
-    monkeypatch.setitem(inv._MAPS, "rho", ("D", broken))
-    for report in (inv.verify_cell("rho", cell), verify_cell_per_pair("rho", cell)):
-        assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {q}"]
-        assert report.pair == q
-
-
-def test_verify_cell_checks_a_walk_without_replaying_it(monkeypatch):
-    # forward and back walks agree, but pass through a pair of another cell:
-    # the walk check names the pair, and verify_cell never replays
-    cell = ((3, 2), (2, 2, 1))
-    p, q = _first_orbit("rho", cell)
-    stranger = inv.enumerate_pairs("D", (3, 2), (3, 1, 1))[0]
-    maps = ("psi", "theta", "psi")
-
-    def broken(pair):
-        if pair in (p, q):
-            other = q if pair == p else p
-            return other, inv.Trace((pair, stranger, stranger, other), maps)
-        return inv.rho(pair)
-
-    def no_replay(trace):
-        raise AssertionError("verify_cell replayed a walk")
-
-    monkeypatch.setitem(inv._MAPS, "rho", ("D", broken))
-    monkeypatch.setattr(inv, "validate_trace", no_replay)
-    report = inv.verify_cell("rho", cell)
-    assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {p}"]
-    assert report.pair == p
-
-
-def _repeating(pair):
-    """The pair with a covering whose permutation repeats its first value,
-    built as the maps build their images, past the constructor's checks."""
-    perm = pair.thc.perm
-    return pair._replace(thc=TunnelHookCovering._of(pair.thc.shape, perm[:1] * 2 + perm[2:]))
-
-
-def test_membership_catches_a_phi_image_that_is_no_covering(monkeypatch):
-    # phi sends p to its image with a repeated permutation value, and back
-    cell = ((2,), (1, 1))
-    p, q = _first_orbit("phi", cell)
-    bad = _repeating(q)
-    with pytest.raises(ValueError, match="not a permutation"):
-        thc_from_perm(bad.thc.shape, bad.thc.perm)
-    phi = inv.phi
-    monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: {p: bad, bad: p}.get(pair) or phi(pair)))
-    report = inv.verify_cell("phi", cell)
-    assert report.violations == [f"image leaves A[{cell[0]},{cell[1]}]: {p}"]
-    assert report.pair == p
-
-
-def test_membership_catches_a_bad_covering_inside_a_rho_walk(monkeypatch):
-    # psi's first step of p's walk gives a repeated permutation value; the
-    # walk then rejoins its real course, so only the interior pair is bad
-    cell = ((2, 2), (1, 1, 1, 1))
-    p = inv.enumerate_pairs("D", *cell)[4]
-    q, trace = inv.rho(p)
-    assert len(trace.maps) == 3
-    x, y = trace.pairs[1:3]
-    bad_x = _repeating(x)
-    bad_y = inv.theta(bad_x)
-    psi = inv.psi
-
-    def broken(pair):
-        if pair == p:
-            return bad_x
-        return psi(y if pair == bad_y else pair)
-
-    monkeypatch.setattr(inv, "psi", broken)
-    assert inv.rho(p) == (q, inv.Trace((p, bad_x, bad_y, q), trace.maps))
-    report = inv.verify_cell("rho", cell)
-    assert report.violations == [f"image leaves D[{cell[0]},{cell[1]}]: {p}"]
-    assert report.pair == p
 
 
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
@@ -705,99 +534,6 @@ def test_map_images_pass_the_public_constructor(map_name):
                 images = (getattr(inv, map_name)(pair),)
             for image in images:
                 assert thc_from_perm(image.thc.shape, image.thc.perm) == image.thc
-
-
-def test_verify_cell_rejects_an_image_missing_from_the_set(monkeypatch):
-    # the pair set loses q, the image of p: every image still validates, so
-    # only the membership check names the pair (the per-pair check finds
-    # the signed sum off by one and names none)
-    p, q = _first_orbit("psi", ORBIT_CELL)
-    enumerate_pairs = inv.enumerate_pairs
-
-    def dropping(kind, left, right):
-        return tuple(pair for pair in enumerate_pairs(kind, left, right) if pair != q)
-
-    monkeypatch.setattr(inv, "enumerate_pairs", dropping)
-    report = inv.verify_cell("psi", ORBIT_CELL)
-    assert report.violations == [
-        f"image missing from the enumerated C[{ORBIT_CELL[0]},{ORBIT_CELL[1]}]: {p}"
-    ]
-    assert report.pair == p
-    oracle = verify_cell_per_pair("psi", ORBIT_CELL)
-    assert oracle.violations[0].startswith("signed sum over C")
-    assert oracle.pair is None
-
-
-def test_verify_cell_rejects_a_partner_of_the_same_sign(monkeypatch):
-    # psi sends the cell's first pair to the second and back: an involution
-    # that keeps the set closed, but both pairs carry sign +1
-    p, p2 = inv.enumerate_pairs("C", *ORBIT_CELL)[:2]
-    assert p.thc.sign() == p2.thc.sign() == 1
-    swap = {p: p2, p2: p}
-    psi = inv.psi
-    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: swap.get(pair) or psi(pair)))
-    for report in (inv.verify_cell("psi", ORBIT_CELL), verify_cell_per_pair("psi", ORBIT_CELL)):
-        assert report.violations == [
-            f"psi failed to reverse sign at {ORBIT_CELL[0]},{ORBIT_CELL[1]}: {p}"
-        ]
-        assert report.pair == p
-
-
-def test_verify_cell_rejects_a_fixed_point_of_negative_sign(monkeypatch):
-    # the diagonal cell holds one pair of sign -1, which the map fixes
-    cell = ((2, 1), (2, 1))
-    negative = inv.enumerate_pairs("C", *ORBIT_CELL)[2]
-    assert negative.thc.sign() == -1
-    monkeypatch.setattr(inv, "enumerate_pairs", lambda kind, left, right: (negative,))
-    monkeypatch.setitem(inv._MAPS, "psi", ("C", lambda pair: pair))
-    report = inv.verify_cell("psi", cell)
-    assert report.violations == [f"fixed point of negative sign at {cell[0]}: {negative}"]
-    assert report.pair == negative
-
-
-def test_verify_cell_rejects_a_diagonal_set_of_more_than_one_pair(monkeypatch):
-    # the diagonal cell also holds the four pairs of an off-diagonal cell,
-    # two psi orbits of signed sum 0: every check per pair passes, and the
-    # signed sum is still 1
-    cell = ((2, 1), (2, 1))
-    enumerate_pairs = inv.enumerate_pairs
-
-    def padded(kind, left, right):
-        return enumerate_pairs(kind, left, right) + enumerate_pairs(kind, *ORBIT_CELL)
-
-    monkeypatch.setattr(inv, "enumerate_pairs", padded)
-    report = inv.verify_cell("psi", cell)
-    assert report.violations == [f"diagonal set C[{cell[0]},{cell[0]}] has 5 pairs, want 1"]
-    assert report.pair is None
-    assert (report.pairs_checked, report.fixed_points) == (5, 1)
-
-
-@pytest.mark.parametrize(
-    "cell, key, bad",
-    [
-        # a 3 replaces a 2 in the first filling of shape (2,1), content (1,2)
-        (((2, 1), (1, 2)), ((2, 1), (1, 2)), ((1, 2), (3,))),
-        # the filling (1,1,2) of shape (3), content (2,1) gets its row reversed
-        (((3,), (1, 2)), ((3,), (2, 1)), ((2, 1, 1),)),
-    ],
-)
-def test_a_faulty_filling_is_caught_as_it_enters_the_memo(monkeypatch, cell, key, bad):
-    # membership alone cannot see a bad pair the enumeration itself made:
-    # the filling check must name it, as a fault of the program
-    enumerate_immaculate = inv.enumerate_immaculate
-
-    def faulty(shape, content):
-        rows = enumerate_immaculate(shape, content)
-        return (bad,) + rows[1:] if (shape, content) == key else rows
-
-    monkeypatch.setattr(inv, "enumerate_immaculate", faulty)
-    inv._index.cache_clear()
-    named = re.escape(f"gave {bad}, outside A[{cell[0]},{cell[1]}]")
-    try:
-        with pytest.raises(RuntimeError, match=named):
-            inv.verify_cell("phi", cell)
-    finally:
-        inv._index.cache_clear()
 
 
 # (fillings validated, pairs checked, interior pairs validated) at degree
@@ -903,6 +639,11 @@ def test_a_trace_with_no_step_holds_a_fixed_point():
     (fixed,) = inv.enumerate_pairs("D", (3, 2), (3, 2))
     assert inv.rho(fixed)[1] == inv.Trace((fixed,), ())
     assert inv.validate_trace(inv.Trace((fixed,), ())) == ((3, 2), (3, 2))
+    # psi fixes the pair, so a step to itself would replay: the trace is
+    # refused before, as rho takes no step on the diagonal
+    assert inv.psi(fixed) == fixed
+    with pytest.raises(ValueError, match="a trace on the diagonal takes no step"):
+        inv.validate_trace(inv.Trace((fixed, fixed), ("psi",)))
 
 
 def test_every_pair_of_a_rho_walk_replays_on_its_own():
