@@ -508,6 +508,31 @@ def test_verify_involutions_small(map_name):
     assert report.pairs_checked > 0
 
 
+@pytest.mark.parametrize("n", range(2, 5))
+def test_theta_suite(n):
+    # involution and sign reversal on the non-column-strict pairs, with the
+    # two touched weights swapping
+    parts = core.partitions_of(n)
+    for lam, mu in itertools.product(parts, repeat=2):
+        if lam == mu:
+            continue
+        e_pairs = inv.enumerate_pairs("E", lam, mu)
+        d_pairs = set(inv.enumerate_pairs("D", lam, mu))
+        outside = [p for p in e_pairs if inv.Pair("D", p.thc, p.tableau) not in d_pairs]
+        for pair in outside:
+            assert tableaux.bad_cells(pair.tableau)
+            t, _ = inv.theta_selection(pair.tableau)
+            image = inv.theta(pair)
+            assert image.thc.sign() == -pair.thc.sign()
+            before, after = pair.thc.delta(), image.thc.delta()
+            assert after[t - 2] == before[t - 1]
+            assert after[t - 1] == before[t - 2]
+            assert after[: t - 2] == before[: t - 2]
+            assert after[t:] == before[t:]
+            assert inv.theta(image) == pair
+            assert tableaux.bad_cells(image.tableau)
+
+
 @pytest.mark.parametrize("map_name", ["phi", "chi", "psi", "rho"])
 def test_orbit_visiting_matches_the_per_pair_check(map_name):
     for cell in inv.index_cells(map_name, 5):
