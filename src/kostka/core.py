@@ -28,13 +28,19 @@ IntSeq = tuple[int, ...]
 
 
 def is_composition(parts: Sequence[int]) -> bool:
-    return all(p >= 1 for p in parts)
+    for p in parts:
+        if p < 1:
+            return False
+    return True
 
 
 def is_partition(parts: Sequence[int]) -> bool:
-    return is_composition(parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    prev = parts[0] if parts else 1
+    for p in parts:
+        if not 1 <= p <= prev:
+            return False
+        prev = p
+    return True
 
 
 def compositions_of(n: int) -> list[IntSeq]:
@@ -93,9 +99,10 @@ def flatten(seq: Sequence[int]) -> IntSeq:
     Entries must be nonnegative: a weight sequence with a negative entry
     has no content.
     """
-    if any(x < 0 for x in seq):
-        raise InvalidContentError(f"negative entry in {tuple(seq)}")
-    return tuple(x for x in seq if x != 0)
+    for x in seq:
+        if x < 0:
+            raise InvalidContentError(f"negative entry in {tuple(seq)}")
+    return tuple([x for x in seq if x])
 
 
 def dominates(alpha: Sequence[int], beta: Sequence[int]) -> bool:
@@ -194,8 +201,11 @@ def transposition(n: int, k: int) -> Perm:
 
 
 def swap_values(sigma: Perm, k: int) -> Perm:
-    """Left multiplication by the transposition of k, k+1 (value swap)."""
-    return tuple(k + 1 if v == k else k if v == k + 1 else v for v in sigma)
+    """Left multiplication by the transposition of k, k+1 (value swap), 1 <= k < n."""
+    out = list(sigma)
+    i, j = out.index(k), out.index(k + 1)
+    out[i], out[j] = k + 1, k
+    return tuple(out)
 
 
 def swap_positions(sigma: Perm, k: int) -> Perm:

@@ -26,6 +26,7 @@ selection helpers are exposed separately so tests can pin the choices.
 
 The families differ only in how they read a covering's weights: ``_weights``
 states that rule once, and ``_shapes`` lists each family's covering shapes.
+``validate_pair`` and ``pair_indices`` share one scan of the rows, ``_scan``.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
 enumeration path: the coverings of every shape of the degree, found in one
 pass and filed under the index they give (the shape for A/B, the weights
@@ -57,6 +58,8 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache, partial
+from itertools import chain
+from operator import lt
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -81,8 +84,6 @@ from .tableaux import (
     content_vector,
     enumerate_immaculate,
     enumerate_ssyt,
-    is_immaculate,
-    is_ssyt,
     relabelling,
     shape_of,
 )
@@ -117,9 +118,9 @@ def _weights(kind: str, covering: TunnelHookCovering) -> IntSeq:
     ValueError, for C/D/E as ``flatten``'s InvalidContentError."""
     delta = covering.delta()
     if kind in ("A", "B"):
-        if any(d < 0 for d in delta):
+        if delta and min(delta) < 0:
             raise ValueError("covering weights must be nonnegative")
-        return delta if kind == "A" else tuple(delta[j - 1] for j in perm_inverse(covering.perm))
+        return delta if kind == "A" else tuple([delta[j - 1] for j in perm_inverse(covering.perm)])
     weight = flatten(delta)
     return weight if kind == "C" else dec(weight)
 
@@ -130,22 +131,45 @@ def _shapes(kind: str, n: int) -> tuple[IntSeq, ...]:
     return partitions_of(n) if kind in ("B", "D") else compositions_of(n)
 
 
+def _scan(rows: Rows) -> tuple[IntSeq, int, bool]:
+    """(shape, largest entry, is an SSYT) of a pair's rows, read in one pass.
+    Raises ValueError unless they are an immaculate filling: at least one
+    row, none empty, each weakly increasing, the first column strictly
+    increasing from 1 up."""
+    first = top = 0  # entries start at 1
+    strict = True
+    above: tuple[int, ...] = ()
+    for row in rows:
+        if not row or row[0] <= first:
+            raise ValueError("tableau rows are not an immaculate filling")
+        first = prev = row[0]
+        for v in row:
+            if v < prev:
+                raise ValueError("tableau rows are not an immaculate filling")
+            prev = v
+        if prev > top:
+            top = prev
+        if strict and above:
+            strict = len(row) <= len(above) and all(map(lt, above, row))
+        above = row
+    if not rows:
+        raise ValueError("tableau rows are not an immaculate filling")
+    return tuple(map(len, rows)), top, strict
+
+
 def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     """Check the pair's membership conditions; return its (left, right) indices.
 
     A: (tableau shape, covering shape), the tableau's content equal to the
     covering's weights as :func:`_weights` reads them.  B: likewise, with the
     tableau column-strict and the covering shape a partition.  C/D/E: a common
-    shape, indices from :func:`pair_indices`; D additionally needs the tableau
-    column-strict.  Raises ValueError with the violated condition.
+    shape, indices as :func:`pair_indices` reads them; D additionally needs
+    the tableau column-strict.  Raises ValueError with the violated condition.
     """
-    rows = pair.tableau
-    covering = pair.thc
-    if not is_immaculate(rows):
-        raise ValueError("tableau rows are not an immaculate filling")
-    kind = pair.kind
+    kind, covering, rows = pair
+    shape, top, strict = _scan(rows)
     if kind in ("A", "B"):
-        if kind == "B" and not is_ssyt(rows):
+        if kind == "B" and not strict:
             raise ValueError("tableau must be column-strict")
         if kind == "B" and not is_partition(covering.shape):
             raise ValueError("covering shape must be a partition")
@@ -153,13 +177,13 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
         if content_vector(rows, len(weights)) != weights:
             read = "covering" if kind == "A" else "reordered"
             raise ValueError(f"tableau content differs from the {read} weights")
-        return shape_of(rows), covering.shape
+        return shape, covering.shape
     if kind in ("C", "D", "E"):
-        if shape_of(rows) != covering.shape:
+        if shape != covering.shape:
             raise ValueError("tableau and covering shapes differ")
-        if kind == "D" and not is_ssyt(rows):
+        if kind == "D" and not strict:
             raise ValueError("tableau must be column-strict")
-        return pair_indices(pair)
+        return _indices(pair, shape, top)
     raise ValueError(f"unknown pair family {kind!r}")
 
 
@@ -301,12 +325,15 @@ def phi_selection(pair: Pair) -> tuple[int, int, int] | None:
     permutation is largest; m is the first row where that image differs
     from the row number.
     """
-    sigma = pair.thc.perm
-    for i, row in enumerate(pair.tableau, start=1):
-        q_i = max(row, key=lambda v: sigma[v - 1])
-        if sigma[q_i - 1] != i:
-            p = sigma.index(sigma[q_i - 1] - 1) + 1
-            return i, q_i, p
+    _, (_, sigma), rows = pair
+    for i, row in enumerate(rows, start=1):
+        q_i = row[0]
+        image = sigma[q_i - 1]
+        for v in row:
+            if sigma[v - 1] > image:
+                q_i, image = v, sigma[v - 1]
+        if image != i:
+            return i, q_i, sigma.index(image - 1) + 1
     return None
 
 
@@ -317,14 +344,13 @@ def phi(pair: Pair) -> Pair:
     if selection is None:
         return pair
     m, q_m, p = selection
-    sigma = pair.thc.perm
-    covering = TunnelHookCovering._of(pair.thc.shape, swap_values(sigma, sigma[q_m - 1] - 1))
-    row = list(pair.tableau[m - 1])
+    kind, (shape, sigma), rows = pair
+    covering = TunnelHookCovering._of(shape, swap_values(sigma, sigma[q_m - 1] - 1))
+    row = list(rows[m - 1])
     row.remove(q_m)
     row.append(p)
     row.sort()
-    rows = pair.tableau[: m - 1] + (tuple(row),) + pair.tableau[m:]
-    return Pair(pair.kind, covering, rows)
+    return Pair(kind, covering, rows[: m - 1] + (tuple(row),) + rows[m:])
 
 
 # -- chi on B ---------------------------------------------------------------
@@ -334,9 +360,8 @@ def chi_selection(pair: Pair) -> tuple[int, int] | None:
     """(row m, value q_m) with q_m the largest entry of the first row whose
     largest entry differs from the row number; None on a fixed point."""
     for i, row in enumerate(pair.tableau, start=1):
-        q_i = max(row)
-        if q_i != i:
-            return i, q_i
+        if row[-1] != i:  # rows weakly increase: the last entry is the largest
+            return i, row[-1]
     return None
 
 
@@ -347,11 +372,11 @@ def chi(pair: Pair) -> Pair:
     if selection is None:
         return pair
     m, q_m = selection
-    covering = TunnelHookCovering._of(pair.thc.shape, swap_values(pair.thc.perm, q_m - 1))
-    row = list(pair.tableau[m - 1])
+    kind, (shape, sigma), rows = pair
+    covering = TunnelHookCovering._of(shape, swap_values(sigma, q_m - 1))
+    row = list(rows[m - 1])
     row[row.index(q_m)] = q_m - 1
-    rows = pair.tableau[: m - 1] + (tuple(row),) + pair.tableau[m:]
-    return Pair(pair.kind, covering, bender_knuth(rows, q_m - 1))
+    return Pair(kind, covering, bender_knuth(rows[: m - 1] + (tuple(row),) + rows[m:], q_m - 1))
 
 
 # -- psi on C (and on E, inside rho) ---------------------------------------
@@ -369,25 +394,18 @@ def psi_selection(pair: Pair) -> tuple[int, int, int] | None:
     asked only once rows i+1..l are frozen, and those hold only their own,
     larger values, so "v occurs nowhere else" reads rows 1..i-1 alone.
     """
-    rows = pair.tableau
-    sigma = pair.thc.perm
-    ell = len(rows)
-    top = max(row[-1] for row in rows)
-
-    def frozen(i: int) -> bool:
-        v = top - ell + i
-        row = rows[i - 1]
-        if sigma[i - 1] != i or row[0] != v or row[-1] != v:
-            return False
-        return all(v not in rows[j] for j in range(i - 1))
-
-    k = ell
-    while k >= 1 and frozen(k):
+    _, (_, sigma), rows = pair
+    k, v = len(rows), max([row[-1] for row in rows])  # v = M - l + k as k steps up
+    while (k and sigma[k - 1] == k and rows[k - 1][0] == v == rows[k - 1][-1]
+           and v not in chain.from_iterable(rows[: k - 1])):
         k -= 1
+        v -= 1
     if k == 0:
         return None
-    v = top - ell + k
-    _, r = min((sigma[j - 1], j) for j in range(1, ell + 1) if v in rows[j - 1])
+    r = 0
+    for j, row in enumerate(rows, start=1):
+        if v in row and (not r or sigma[j - 1] < sigma[r - 1]):
+            r = j
     return k, v, r
 
 
@@ -400,8 +418,7 @@ def psi(pair: Pair) -> Pair:
     if selection is None:
         return pair
     k, v, r = selection
-    rows = pair.tableau
-    sigma = pair.thc.perm
+    kind, (_, sigma), rows = pair
     ell = len(rows)
     if rows[r - 1][-1] != v:
         raise ValueError("the moving value must close its source row")
@@ -424,8 +441,8 @@ def psi(pair: Pair) -> Pair:
             del new_rows[r - 1]
             perm = delete_fixed_point(perm, r)
     rows_out = tuple(new_rows)
-    kind = "C" if pair.kind == "C" else "E" if bad_cells(rows_out) else "D"
-    return Pair(kind, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
+    label = "C" if kind == "C" else "E" if bad_cells(rows_out) else "D"
+    return Pair(label, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
 
 
 # -- theta on E \ D ---------------------------------------------------------
@@ -437,9 +454,8 @@ def theta_selection(rows: Rows) -> tuple[int, int]:
     cells = bad_cells(rows)
     if not cells:
         raise ValueError("theta needs a bad cell")
-    i = min(j for (_, j) in cells)
-    t = max(r for (r, j) in cells if j == i)
-    return t, i
+    i = cells[0][1]  # sorted by (column, row)
+    return max([r for r, j in cells if j == i]), i
 
 
 def theta(pair: Pair) -> Pair:
@@ -447,14 +463,14 @@ def theta(pair: Pair) -> Pair:
     and swap the same two positions of the permutation (right to left).  The
     image is E unchecked: ``theta`` is an involution on the E pairs outside
     D, so its image, a ``theta`` input, has a bad cell."""
-    t, i = theta_selection(pair.tableau)
-    rows = pair.tableau
+    _, (_, sigma), rows = pair
+    t, i = theta_selection(rows)
     above = rows[t - 2]
     row = rows[t - 1]
     new_above = above[: i - 1] + row[i:]
     new_row = row[:i] + above[i - 1 :]
     new_rows = rows[: t - 2] + (new_above, new_row) + rows[t:]
-    covering = TunnelHookCovering._of(shape_of(new_rows), swap_positions(pair.thc.perm, t - 1))
+    covering = TunnelHookCovering._of(shape_of(new_rows), swap_positions(sigma, t - 1))
     return Pair("E", covering, new_rows)
 
 
@@ -464,12 +480,16 @@ def theta(pair: Pair) -> Pair:
 def pair_indices(pair: Pair) -> tuple[IntSeq, IntSeq]:
     """(left, right) for a C/D/E pair: the covering's weights as the family
     reads them, and the tableau's content vector, which must be a
-    composition.  Such a content uses each value up to the largest entry, so
-    an entry above the cell count is refused before any counting."""
-    left = _weights(pair.kind, pair.thc)
-    rows = pair.tableau
-    top = max(max(row) for row in rows)
-    if top > sum(map(len, rows)) or not all(right := content_vector(rows, top)):
+    composition.  The rows must be an immaculate filling (:func:`_scan`)."""
+    return _indices(pair, *_scan(pair.tableau)[:2])
+
+
+def _indices(pair: Pair, shape: IntSeq, top: int) -> tuple[IntSeq, IntSeq]:
+    """:func:`pair_indices` from the rows' shape and largest entry ``top``: a
+    composition content uses 1..top, so top above the cell count is refused."""
+    kind, covering, rows = pair
+    left = _weights(kind, covering)
+    if top > sum(shape) or not all(right := content_vector(rows, top)):
         raise ValueError("tableau content must be a composition")
     return left, right
 
@@ -481,9 +501,15 @@ def rho(pair: Pair) -> tuple[Pair, Trace]:
     involution principle an alternating walk started in D never meets a
     pair twice, and ``psi`` and ``theta`` conserve both contents, so there
     are finitely many pairs to meet.  A pair met twice can only mean a
-    structural bug and raises RuntimeError.
+    structural bug and raises RuntimeError.  The content mu must be a
+    partition, else ValueError: SSYT counts do not see the order of a
+    content, so D(lam, mu) has signed count 1 when lam = dec mu != mu, yet
+    no diagonal pair, and no sign-reversing involution fixed only on the
+    diagonal exists on it.
     """
     lam, mu = pair_indices(pair)
+    if not is_partition(mu):
+        raise ValueError(f"rho acts on D pairs whose content is a partition, got {mu}")
     if lam == mu:
         return pair, Trace((pair,), ())
     pairs = [pair]

@@ -110,8 +110,9 @@ def _list(value: Any, what: str) -> list:
 
 
 def _ints(value: Any, what: str) -> tuple[int, ...]:
-    if not all(type(x) is int for x in _list(value, what)):
-        raise ValueError(f"{what} must be a list of integers")
+    for x in _list(value, what):
+        if type(x) is not int:
+            raise ValueError(f"{what} must be a list of integers")
     return tuple(value)
 
 
@@ -186,6 +187,7 @@ def parse_object(data: Any):
 
 _ENCODERS = {"thc": thc_to_obj, "srht": srht_to_obj, "pair": pair_to_obj, "trace": trace_to_obj,
              "matrix": matrix_to_obj, "tableau": tableau_to_obj, "sequence": list}
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def to_obj(value: Any) -> Any:
@@ -195,7 +197,7 @@ def to_obj(value: Any) -> Any:
 
 def dumps(value: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace; byte-stable."""
-    return json.dumps(to_obj(value), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(to_obj(value))
 
 
 def loads(text: str):

@@ -6,13 +6,14 @@ semistandard Young tableau (SSYT) additionally has partition shape and
 strictly increasing columns.
 
 One row-by-row backtracker in reading order serves both kinds, so results
-come out in lexicographic order by reading word and the output order is
-stable.  Each row opens with its forced run (the least value left, all its
-copies), so a dead opening is cut without search.  The enumerators are
-plain functions: the involution verifier keeps the fillings it re-reads in
-its per-degree index (``involutions._index``), by composition content.
-The Kostka matrices do not list tableaux (they count them in
-``matrices``); the enumerators stay their independent oracle.
+come out in lexicographic order by reading word, a stable order.  Each row
+opens with its forced run (the least value left, all its copies), so a dead
+opening is cut without search.  The enumerators are plain functions: the
+involution verifier keeps the fillings it re-reads in its per-degree index
+(``involutions._index``), by composition content.  The Kostka matrices do
+not list tableaux (they count them in ``matrices``); the enumerators stay
+their independent oracle.  A pair's rows are not checked here: one scan,
+``involutions._scan``, serves both ``validate_pair`` and ``pair_indices``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def shape_of(rows: Rows) -> tuple[int, ...]:
-    return tuple(len(row) for row in rows)
+    return tuple(map(len, rows))
 
 
 def content_vector(rows: Rows, m: int) -> tuple[int, ...]:
@@ -40,17 +41,16 @@ def content_vector(rows: Rows, m: int) -> tuple[int, ...]:
 
 
 def is_immaculate(rows: Rows) -> bool:
-    if not rows or not all(rows):
-        return False
-    if any(row[0] < 1 or list(row) != sorted(row) for row in rows):
-        return False
-    return all(above[0] < row[0] for above, row in zip(rows, rows[1:]))
+    first = 0  # entries start at 1
+    for row in rows:
+        if not row or row[0] <= first or list(row) != sorted(row):
+            return False
+        first = row[0]
+    return bool(rows)
 
 
 def is_ssyt(rows: Rows) -> bool:
-    if not is_immaculate(rows) or not is_partition(shape_of(rows)):
-        return False
-    return all(a < b for above, row in zip(rows, rows[1:]) for a, b in zip(above, row))
+    return is_immaculate(rows) and not bad_cells(rows)
 
 
 def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Rows, ...]:
@@ -193,12 +193,11 @@ def bad_cells(rows: Rows) -> list[tuple[int, int]]:
     Empty exactly when the rows form a column-strict filling of a partition
     shape.  Sorted by (column, row).
     """
-    out = []
-    for i in range(2, len(rows) + 1):
-        row = rows[i - 1]
-        above = rows[i - 2]
-        for j in range(1, len(row) + 1):
-            if j > len(above) or above[j - 1] >= row[j - 1]:
-                out.append((i, j))
-    out.sort(key=lambda cell: (cell[1], cell[0]))
-    return out
+    found = []  # (column, row), so that a plain sort orders them
+    for i in range(1, len(rows)):
+        above = rows[i - 1]
+        for j, v in enumerate(rows[i]):
+            if j >= len(above) or above[j] >= v:
+                found.append((j + 1, i + 1))
+    found.sort()
+    return [(i, j) for j, i in found]

@@ -203,9 +203,12 @@ class TunnelHookCovering(_CoveringFields):
 
     def delta(self) -> IntSeq:
         """Per-row weights: delta_i = shape_i + perm_i - i.  May be negative."""
-        return tuple(
-            self.shape[i] + self.perm[i] - (i + 1) for i in range(len(self.shape))
-        )
+        out = []
+        i = 0
+        for part, image in zip(*self):
+            i += 1
+            out.append(part + image - i)
+        return tuple(out)
 
     def content(self) -> IntSeq:
         """The zero-stripped weight sequence; errors when a weight is negative."""

@@ -10,14 +10,17 @@ the Sym inverse Kostka matrix by listing one permutation per Jacobi-Trudi term,
 the NSym inverse by listing every tunnel hook covering of each shape,
 a hook's boundary cells by probing the eight neighbours of each cell,
 a stage's terminal cells by listing one per end row and checking their diagonals,
-matrix products by the full triple loop, and the exhaustive involution check
-by applying the map twice to every pair.
+matrix products by the full triple loop, the exhaustive involution check
+by applying the map twice to every pair, and the per-pair kernels (the pair
+and tableau checks, the map selections, the canonical JSON) by the bodies
+that read the rows and fields once per condition.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 from kostka import core, involutions as inv
@@ -367,3 +370,169 @@ def verify_cell_per_pair(map_name, cell):
     elif left == right and len(pairs) != 1:
         report.violations.append(f"diagonal set {kind}[{left},{left}] has {len(pairs)} pairs, want 1")
     return report
+
+
+# -- the per-pair kernels as they were before the one-pass rewrite -----------
+# Each reads the rows or fields again for every condition it checks; the
+# library now reads them once (``involutions._scan``, plain loops).
+
+
+def is_composition(parts):
+    return all(p >= 1 for p in parts)
+
+
+def is_partition(parts):
+    return is_composition(parts) and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+
+
+def flatten(seq):
+    if any(x < 0 for x in seq):
+        raise core.InvalidContentError(f"negative entry in {tuple(seq)}")
+    return tuple(x for x in seq if x != 0)
+
+
+def swap_values(sigma, k):
+    return tuple(k + 1 if v == k else k if v == k + 1 else v for v in sigma)
+
+
+def shape_of(rows):
+    return tuple(len(row) for row in rows)
+
+
+def content_vector(rows, m):
+    counts = [0] * m
+    for row in rows:
+        for v in row:
+            if not 1 <= v <= m:
+                raise ValueError(f"entry {v} outside 1..{m}")
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
+def is_immaculate(rows):
+    if not rows or not all(rows):
+        return False
+    if any(row[0] < 1 or list(row) != sorted(row) for row in rows):
+        return False
+    return all(above[0] < row[0] for above, row in zip(rows, rows[1:]))
+
+
+def is_ssyt(rows):
+    if not is_immaculate(rows) or not is_partition(shape_of(rows)):
+        return False
+    return all(a < b for above, row in zip(rows, rows[1:]) for a, b in zip(above, row))
+
+
+def bad_cells(rows):
+    out = []
+    for i in range(2, len(rows) + 1):
+        row = rows[i - 1]
+        above = rows[i - 2]
+        for j in range(1, len(row) + 1):
+            if j > len(above) or above[j - 1] >= row[j - 1]:
+                out.append((i, j))
+    out.sort(key=lambda cell: (cell[1], cell[0]))
+    return out
+
+
+def delta(covering):
+    return tuple(covering.shape[i] + covering.perm[i] - (i + 1) for i in range(len(covering.shape)))
+
+
+def weights(kind, covering):
+    d = delta(covering)
+    if kind in ("A", "B"):
+        if any(x < 0 for x in d):
+            raise ValueError("covering weights must be nonnegative")
+        return d if kind == "A" else tuple(d[j - 1] for j in core.perm_inverse(covering.perm))
+    weight = flatten(d)
+    return weight if kind == "C" else core.dec(weight)
+
+
+def pair_indices(pair):
+    left = weights(pair.kind, pair.thc)
+    rows = pair.tableau
+    top = max(max(row) for row in rows)
+    if top > sum(map(len, rows)) or not all(right := content_vector(rows, top)):
+        raise ValueError("tableau content must be a composition")
+    return left, right
+
+
+def validate_pair(pair):
+    rows = pair.tableau
+    covering = pair.thc
+    if not is_immaculate(rows):
+        raise ValueError("tableau rows are not an immaculate filling")
+    kind = pair.kind
+    if kind in ("A", "B"):
+        if kind == "B" and not is_ssyt(rows):
+            raise ValueError("tableau must be column-strict")
+        if kind == "B" and not is_partition(covering.shape):
+            raise ValueError("covering shape must be a partition")
+        w = weights(kind, covering)
+        if content_vector(rows, len(w)) != w:
+            read = "covering" if kind == "A" else "reordered"
+            raise ValueError(f"tableau content differs from the {read} weights")
+        return shape_of(rows), covering.shape
+    if kind in ("C", "D", "E"):
+        if shape_of(rows) != covering.shape:
+            raise ValueError("tableau and covering shapes differ")
+        if kind == "D" and not is_ssyt(rows):
+            raise ValueError("tableau must be column-strict")
+        return pair_indices(pair)
+    raise ValueError(f"unknown pair family {kind!r}")
+
+
+def phi_selection(pair):
+    sigma = pair.thc.perm
+    for i, row in enumerate(pair.tableau, start=1):
+        q_i = max(row, key=lambda v: sigma[v - 1])
+        if sigma[q_i - 1] != i:
+            return i, q_i, sigma.index(sigma[q_i - 1] - 1) + 1
+    return None
+
+
+def chi_selection(pair):
+    for i, row in enumerate(pair.tableau, start=1):
+        q_i = max(row)
+        if q_i != i:
+            return i, q_i
+    return None
+
+
+def psi_selection(pair):
+    rows = pair.tableau
+    sigma = pair.thc.perm
+    ell = len(rows)
+    top = max(row[-1] for row in rows)
+
+    def frozen(i):
+        v = top - ell + i
+        row = rows[i - 1]
+        if sigma[i - 1] != i or row[0] != v or row[-1] != v:
+            return False
+        return all(v not in rows[j] for j in range(i - 1))
+
+    k = ell
+    while k >= 1 and frozen(k):
+        k -= 1
+    if k == 0:
+        return None
+    v = top - ell + k
+    _, r = min((sigma[j - 1], j) for j in range(1, ell + 1) if v in rows[j - 1])
+    return k, v, r
+
+
+def theta_selection(rows):
+    cells = bad_cells(rows)
+    if not cells:
+        raise ValueError("theta needs a bad cell")
+    i = min(j for (_, j) in cells)
+    return max(r for (r, j) in cells if j == i), i
+
+
+def dumps(value):
+    """Canonical JSON through ``json.dumps``, which builds an encoder per call."""
+    from kostka.serialize import to_obj
+
+    return json.dumps(to_obj(value), sort_keys=True, separators=(",", ":"))

@@ -338,6 +338,9 @@ _BARE_TABLEAU_PAIR = {"setKind": "C", "left": {"kind": "thc", "shape": [2], "per
                       "right": [1, 2]}
 # psi fixes this diagonal D pair, so a step to itself replays, but rho takes no step on it
 _DIAGONAL_PAIR = json.loads(sz.dumps(inv.Pair("D", thc_from_perm((1,), (1,)), ((1,),))))
+# a valid D pair whose content (1, 2) is no partition: rho refuses it before walking
+_D_COMPOSITION_CONTENT = {"setKind": "D", "left": _THC, "right": {"kind": "tableau",
+                                                                 "rows": [[1, 2], [2]]}}
 
 
 @pytest.mark.parametrize(
@@ -400,6 +403,7 @@ _DIAGONAL_PAIR = json.loads(sz.dumps(inv.Pair("D", thc_from_perm((1,), (1,)), ((
         (["render", "--input", "in.json"], {"kind": "srht", "shape": [], "hooks": []}, 2),
         (["validate", "--input", "in.json"],
          {"kind": "trace", "maps": ["psi"], "pairs": [_DIAGONAL_PAIR] * 2}, 1),
+        (["involution", "run", "--alg", "rho", "--input", "in.json"], _D_COMPOSITION_CONTENT, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

@@ -332,6 +332,26 @@ def test_rho_fixes_diagonal():
     assert trace.maps == ()
 
 
+def test_rho_refuses_a_content_that_is_no_partition():
+    # D(lam, mu) with mu no partition has signed count 1 when lam = dec mu but
+    # no diagonal pair, so the walk from one of its pairs met a pair twice (1,
+    # 3, 9 and 21 pairs at degrees 3 to 6).  validate_pair accepts every such
+    # pair; rho refuses each before its walk.
+    refused = 0
+    for n in range(1, 7):
+        for lam in core.partitions_of(n):
+            for mu in core.compositions_of(n):
+                if core.is_partition(mu):
+                    continue
+                for pair in inv.enumerate_pairs("D", lam, mu):
+                    assert inv.validate_pair(pair) == (lam, mu)
+                    with pytest.raises(ValueError, match=r"^rho acts on D pairs whose content "
+                                                         r"is a partition, got \("):
+                        inv.rho(pair)
+                    refused += 1
+    assert refused == 3 + 25 + 187 + 1267
+
+
 # -- validate_pair verdicts --------------------------------------------------
 
 # one pair per check, each failing that check and passing every earlier one
