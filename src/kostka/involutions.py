@@ -26,7 +26,8 @@ selection helpers are exposed separately so tests can pin the choices.
 
 The families differ only in how they read a covering's weights: ``_weights``
 states that rule once, and ``_shapes`` lists each family's covering shapes.
-``validate_pair`` and ``pair_indices`` share one scan of the rows, ``_scan``.
+``validate_pair`` and ``pair_indices`` share one scan of the rows,
+``tableaux.scan``.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
 enumeration path: the coverings of every shape of the degree, found in one
 pass and filed under the index they give (the shape for A/B, the weights
@@ -59,7 +60,6 @@ from __future__ import annotations
 import os
 from functools import lru_cache, partial
 from itertools import chain
-from operator import lt
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -85,6 +85,7 @@ from .tableaux import (
     enumerate_immaculate,
     enumerate_ssyt,
     relabelling,
+    scan,
     shape_of,
 )
 from .matrices import nsym_K, sym_K
@@ -131,32 +132,6 @@ def _shapes(kind: str, n: int) -> tuple[IntSeq, ...]:
     return partitions_of(n) if kind in ("B", "D") else compositions_of(n)
 
 
-def _scan(rows: Rows) -> tuple[IntSeq, int, bool]:
-    """(shape, largest entry, is an SSYT) of a pair's rows, read in one pass.
-    Raises ValueError unless they are an immaculate filling: at least one
-    row, none empty, each weakly increasing, the first column strictly
-    increasing from 1 up."""
-    first = top = 0  # entries start at 1
-    strict = True
-    above: tuple[int, ...] = ()
-    for row in rows:
-        if not row or row[0] <= first:
-            raise ValueError("tableau rows are not an immaculate filling")
-        first = prev = row[0]
-        for v in row:
-            if v < prev:
-                raise ValueError("tableau rows are not an immaculate filling")
-            prev = v
-        if prev > top:
-            top = prev
-        if strict and above:
-            strict = len(row) <= len(above) and all(map(lt, above, row))
-        above = row
-    if not rows:
-        raise ValueError("tableau rows are not an immaculate filling")
-    return tuple(map(len, rows)), top, strict
-
-
 def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     """Check the pair's membership conditions; return its (left, right) indices.
 
@@ -167,7 +142,7 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
     the tableau column-strict.  Raises ValueError with the violated condition.
     """
     kind, covering, rows = pair
-    shape, top, strict = _scan(rows)
+    shape, top, strict = scan(rows)
     if kind in ("A", "B"):
         if kind == "B" and not strict:
             raise ValueError("tableau must be column-strict")
@@ -480,8 +455,8 @@ def theta(pair: Pair) -> Pair:
 def pair_indices(pair: Pair) -> tuple[IntSeq, IntSeq]:
     """(left, right) for a C/D/E pair: the covering's weights as the family
     reads them, and the tableau's content vector, which must be a
-    composition.  The rows must be an immaculate filling (:func:`_scan`)."""
-    return _indices(pair, *_scan(pair.tableau)[:2])
+    composition.  The rows must be an immaculate filling (``tableaux.scan``)."""
+    return _indices(pair, *scan(pair.tableau)[:2])
 
 
 def _indices(pair: Pair, shape: IntSeq, top: int) -> tuple[IntSeq, IntSeq]:

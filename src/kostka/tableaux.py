@@ -6,18 +6,20 @@ semistandard Young tableau (SSYT) additionally has partition shape and
 strictly increasing columns.
 
 One row-by-row backtracker in reading order serves both kinds, so results
-come out in lexicographic order by reading word, a stable order.  Each row
-opens with its forced run (the least value left, all its copies), so a dead
-opening is cut without search.  The enumerators are plain functions: the
-involution verifier keeps the fillings it re-reads in its per-degree index
-(``involutions._index``), by composition content.  The Kostka matrices do
-not list tableaux (they count them in ``matrices``); the enumerators stay
-their independent oracle.  A pair's rows are not checked here: one scan,
-``involutions._scan``, serves both ``validate_pair`` and ``pair_indices``.
+come out in lexicographic order by reading word and the output order is
+stable.  Each row opens with its forced run (the least value left, all its
+copies), so a dead opening is cut without search.  The enumerators are
+plain functions: the involution verifier keeps the fillings it re-reads in
+its per-degree index (``involutions._index``), by composition content.
+The Kostka matrices do not list tableaux (they count them in
+``matrices``); the enumerators stay their independent oracle.
+One pass over the rows, :func:`scan`, states what a valid filling is: the
+predicates read it, and so do ``validate_pair`` and ``pair_indices``.
 """
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Callable, Sequence
 
 from .core import is_composition, is_partition
@@ -40,17 +42,45 @@ def content_vector(rows: Rows, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def is_immaculate(rows: Rows) -> bool:
-    first = 0  # entries start at 1
+def scan(rows: Rows) -> tuple[tuple[int, ...], int, bool]:
+    """(shape, largest entry, is an SSYT) of the rows, read in one pass.
+    Raises ValueError unless they are an immaculate filling: at least one
+    row, none empty, each weakly increasing, the first column strictly
+    increasing from 1 up."""
+    first = top = 0  # entries start at 1
+    strict = True
+    above: tuple[int, ...] = ()
     for row in rows:
-        if not row or row[0] <= first or list(row) != sorted(row):
-            return False
-        first = row[0]
-    return bool(rows)
+        if not row or row[0] <= first:
+            raise ValueError("tableau rows are not an immaculate filling")
+        first = prev = row[0]
+        for v in row:
+            if v < prev:
+                raise ValueError("tableau rows are not an immaculate filling")
+            prev = v
+        if prev > top:
+            top = prev
+        if strict and above:
+            strict = len(row) <= len(above) and all(map(lt, above, row))
+        above = row
+    if not rows:
+        raise ValueError("tableau rows are not an immaculate filling")
+    return tuple(map(len, rows)), top, strict
+
+
+def is_immaculate(rows: Rows) -> bool:
+    try:
+        scan(rows)
+    except ValueError:
+        return False
+    return True
 
 
 def is_ssyt(rows: Rows) -> bool:
-    return is_immaculate(rows) and not bad_cells(rows)
+    try:
+        return scan(rows)[2]
+    except ValueError:
+        return False
 
 
 def enumerate_immaculate(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[Rows, ...]:

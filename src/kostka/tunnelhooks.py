@@ -203,12 +203,7 @@ class TunnelHookCovering(_CoveringFields):
 
     def delta(self) -> IntSeq:
         """Per-row weights: delta_i = shape_i + perm_i - i.  May be negative."""
-        out = []
-        i = 0
-        for part, image in zip(*self):
-            i += 1
-            out.append(part + image - i)
-        return tuple(out)
+        return tuple([p + s - i for i, (p, s) in enumerate(zip(*self), 1)])
 
     def content(self) -> IntSeq:
         """The zero-stripped weight sequence; errors when a weight is negative."""

@@ -23,7 +23,7 @@ import itertools
 import json
 from fractions import Fraction
 
-from kostka import core, involutions as inv
+from kostka import core, involutions as inv, tableaux
 from kostka.involutions import Pair
 from kostka.matrices import TransitionMatrix, _signed_counts, jacobi_trudi_terms
 from kostka.tableaux import enumerate_immaculate, enumerate_ssyt
@@ -374,7 +374,7 @@ def verify_cell_per_pair(map_name, cell):
 
 # -- the per-pair kernels as they were before the one-pass rewrite -----------
 # Each reads the rows or fields again for every condition it checks; the
-# library now reads them once (``involutions._scan``, plain loops).
+# library now reads them once (``tableaux.scan``, plain loops).
 
 
 def is_composition(parts):
@@ -397,16 +397,6 @@ def swap_values(sigma, k):
 
 def shape_of(rows):
     return tuple(len(row) for row in rows)
-
-
-def content_vector(rows, m):
-    counts = [0] * m
-    for row in rows:
-        for v in row:
-            if not 1 <= v <= m:
-                raise ValueError(f"entry {v} outside 1..{m}")
-            counts[v - 1] += 1
-    return tuple(counts)
 
 
 def is_immaculate(rows):
@@ -453,7 +443,7 @@ def pair_indices(pair):
     left = weights(pair.kind, pair.thc)
     rows = pair.tableau
     top = max(max(row) for row in rows)
-    if top > sum(map(len, rows)) or not all(right := content_vector(rows, top)):
+    if top > sum(map(len, rows)) or not all(right := tableaux.content_vector(rows, top)):
         raise ValueError("tableau content must be a composition")
     return left, right
 
@@ -470,7 +460,7 @@ def validate_pair(pair):
         if kind == "B" and not is_partition(covering.shape):
             raise ValueError("covering shape must be a partition")
         w = weights(kind, covering)
-        if content_vector(rows, len(w)) != w:
+        if tableaux.content_vector(rows, len(w)) != w:
             read = "covering" if kind == "A" else "reordered"
             raise ValueError(f"tableau content differs from the {read} weights")
         return shape_of(rows), covering.shape
