@@ -53,7 +53,6 @@ from .rimhooks import (
     thc_to_srht,
 )
 from .tableaux import (
-    bad_cells,
     bender_knuth,
     content_vector,
     enumerate_immaculate,

@@ -54,16 +54,17 @@ _MATRIX_BUILDERS = {
 
 
 def _check_cap(n: int, cap: int, job: str) -> None:
-    """``job``: a matrix kind, or a ``verify`` identity."""
+    """``job``: a matrix kind, or a ``verify`` identity.  A refusal words its
+    cost in closed form, so it is immediate at any degree."""
     if n < 1:
         raise DegreeError(f"degree must be >= 1, got {n}")
     if n > cap:
         if job == "involutions":
             cost = f"four maps over every pair of degree <= {n} (pairs grow roughly 5x per degree)"
         elif job in ("K", "Kinv", "kkinv", "kinvk"):
-            cost = f"~{len(partitions_of(n)) ** 2} entry counts over partition labels"
+            cost = f"~p({n})^2 entry counts over p({n}) partition labels"
         else:
-            cost = (f"~{4 ** (n - 1)} entry counts over {2 ** (n - 1)} composition labels "
+            cost = (f"~4^{n - 1} entry counts over 2^{n - 1} composition labels "
                     "(cost grows roughly 4x per degree)")
         raise ValueError(f"refusing degree {n} > cap {cap}: {cost}; pass --cap {n} to proceed")
 

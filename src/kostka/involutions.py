@@ -26,8 +26,9 @@ selection helpers are exposed separately so tests can pin the choices.
 
 The families differ only in how they read a covering's weights: ``_weights``
 states that rule once, and ``_shapes`` lists each family's covering shapes.
-``validate_pair`` and ``pair_indices`` share one scan of the rows,
-``tableaux.scan``.
+``validate_pair``, ``pair_indices`` and ``psi``'s D/E label share one scan
+of the rows, ``tableaux.scan``, the one statement of column-strictness;
+``theta_selection`` is the one code that locates a bad cell.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
 enumeration path: the coverings of every shape of the degree, found in one
 pass and filed under the index they give (the shape for A/B, the weights
@@ -79,7 +80,6 @@ from .core import (
 )
 from .tableaux import (
     Rows,
-    bad_cells,
     bender_knuth,
     content_vector,
     enumerate_immaculate,
@@ -388,7 +388,7 @@ def psi(pair: Pair) -> Pair:
     """Move one copy of the moving value between rows, adjusting the
     permutation by one adjacent transposition; the shape may gain a one-cell
     row, or lose its row r when that row empties.  A C image stays C; a D/E
-    image is D when it has no bad cell, else E."""
+    image is D when ``tableaux.scan`` finds an SSYT, else E."""
     selection = psi_selection(pair)
     if selection is None:
         return pair
@@ -416,7 +416,7 @@ def psi(pair: Pair) -> Pair:
             del new_rows[r - 1]
             perm = delete_fixed_point(perm, r)
     rows_out = tuple(new_rows)
-    label = "C" if kind == "C" else "E" if bad_cells(rows_out) else "D"
+    label = "C" if kind == "C" else "D" if scan(rows_out)[2] else "E"
     return Pair(label, TunnelHookCovering._of(shape_of(rows_out), perm), rows_out)
 
 
@@ -424,13 +424,20 @@ def psi(pair: Pair) -> Pair:
 
 
 def theta_selection(rows: Rows) -> tuple[int, int]:
-    """(row t, column i) of the acting bad cell: leftmost bad column, then
-    the largest row with a bad cell in it."""
-    cells = bad_cells(rows)
-    if not cells:
+    """(row t, column i) of the acting bad cell, one whose upper neighbour is
+    missing or not smaller: the leftmost bad column, then the lowest row with
+    a bad cell there.  A row's first bad cell is its first such column."""
+    t = i = 0
+    for r in range(1, len(rows)):
+        above, row = rows[r - 1], rows[r]
+        j, end = 0, min(len(above), len(row))
+        while j < end and above[j] < row[j]:
+            j += 1
+        if j < len(row) and (not t or j < i):
+            t, i = r + 1, j + 1
+    if not t:
         raise ValueError("theta needs a bad cell")
-    i = cells[0][1]  # sorted by (column, row)
-    return max([r for r, j in cells if j == i]), i
+    return t, i
 
 
 def theta(pair: Pair) -> Pair:

@@ -14,7 +14,8 @@ its per-degree index (``involutions._index``), by composition content.
 The Kostka matrices do not list tableaux (they count them in
 ``matrices``); the enumerators stay their independent oracle.
 One pass over the rows, :func:`scan`, states what a valid filling is: the
-predicates read it, and so do ``validate_pair`` and ``pair_indices``.
+predicates read it, and so do ``validate_pair``, ``pair_indices`` and
+``psi``, which labels a D/E image by it.
 """
 
 from __future__ import annotations
@@ -216,18 +217,3 @@ def bender_knuth(rows: Rows, k: int) -> Rows:
         out.append(tuple(new_row))
     return tuple(out)
 
-
-def bad_cells(rows: Rows) -> list[tuple[int, int]]:
-    """Cells (i, j), 1-based, where column-strictness fails or has no cell above.
-
-    Empty exactly when the rows form a column-strict filling of a partition
-    shape.  Sorted by (column, row).
-    """
-    found = []  # (column, row), so that a plain sort orders them
-    for i in range(1, len(rows)):
-        above = rows[i - 1]
-        for j, v in enumerate(rows[i]):
-            if j >= len(above) or above[j] >= v:
-                found.append((j + 1, i + 1))
-    found.sort()
-    return [(i, j) for j, i in found]

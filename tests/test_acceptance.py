@@ -76,11 +76,11 @@ def test_criterion_4_theta_suite():
             for pair in inv.enumerate_pairs("E", lam, mu):
                 if (pair.thc, pair.tableau) in in_d:
                     continue
-                assert tableaux.bad_cells(pair.tableau)
+                assert not tableaux.is_ssyt(pair.tableau)
                 t, _ = inv.theta_selection(pair.tableau)
                 image = inv.theta(pair)
                 checked += 1
-                assert tableaux.bad_cells(image.tableau)
+                assert not tableaux.is_ssyt(image.tableau)
                 assert inv.theta(image) == pair
                 assert image.thc.sign() == -pair.thc.sign()
                 before, after = pair.thc.delta(), image.thc.delta()

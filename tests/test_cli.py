@@ -68,6 +68,24 @@ def test_verify_sym_cap_refusal(capsys):
     assert err.startswith("invalid input: refusing degree 11 > cap 10")
 
 
+def test_sym_cap_refusal_lists_no_partition(capsys, monkeypatch):
+    # the estimate is a closed form, so refusing a large degree costs nothing
+    monkeypatch.setattr(cli, "partitions_of", None)
+    code, out, err = run_cli(capsys, "verify", "--identity", "kkinv", "--n", "65")
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: refusing degree 65 > cap 10: ~p(65)^2 entry counts over "
+                   "p(65) partition labels; pass --cap 65 to proceed\n")
+
+
+def test_nsym_cap_refusal_writes_no_huge_power(capsys):
+    # 4 ** 9999 in digits would pass Python's limit on int-to-str conversion
+    code, out, err = run_cli(capsys, "matrix", "--n", "10000", "--kind", "NK")
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: refusing degree 10000 > cap 10: ~4^9999 entry counts over "
+                   "2^9999 composition labels (cost grows roughly 4x per degree); "
+                   "pass --cap 10000 to proceed\n")
+
+
 def test_verify_involutions_cap_refusal(capsys):
     # the suites count pairs, not matrix entries
     code, out, err = run_cli(capsys, "verify", "--identity", "involutions", "--n", "11")

@@ -63,11 +63,11 @@ def _repeating(pair):
     return bad
 
 
-def _fillings(monkeypatch, key, bad):
-    """``bad`` first among the immaculate fillings of ``key``."""
-    enumerate_immaculate = inv.enumerate_immaculate
-    monkeypatch.setattr(inv, "enumerate_immaculate", lambda *cell: (
-        (bad,) + enumerate_immaculate(*cell)[1:] if cell == key else enumerate_immaculate(*cell)))
+def _fillings(monkeypatch, fill, key, bad):
+    """``bad`` first among the fillings ``fill`` (an enumerator's name) lists for ``key``."""
+    enumerate_fillings = getattr(inv, fill)
+    monkeypatch.setattr(inv, fill, lambda *cell: (
+        (bad,) + enumerate_fillings(*cell)[1:] if cell == key else enumerate_fillings(*cell)))
 
 
 def theta_is_psi(monkeypatch):  # the walk steps back to its input, enumerating nothing
@@ -162,11 +162,15 @@ def diagonal_padded(monkeypatch):  # two psi orbits: every pair passes, the sign
 
 
 def filling_of_other_content(monkeypatch):
-    _fillings(monkeypatch, ((2, 1), (1, 2)), ((1, 2), (3,)))
+    _fillings(monkeypatch, "enumerate_immaculate", ((2, 1), (1, 2)), ((1, 2), (3,)))
 
 
 def filling_not_immaculate(monkeypatch):
-    _fillings(monkeypatch, ((3,), (2, 1)), ((2, 1, 1),))
+    _fillings(monkeypatch, "enumerate_immaculate", ((3,), (2, 1)), ((2, 1, 1),))
+
+
+def filling_not_column_strict(monkeypatch):  # immaculate, of the content B and D ask for
+    _fillings(monkeypatch, "enumerate_ssyt", ((2, 2), (1, 1, 1, 1)), ((1, 4), (2, 3)))
 
 
 def orbit_dropped(monkeypatch):
@@ -213,6 +217,14 @@ ROWS = [
     Fault("every enumerated filling lies in its A cell", "phi", ((3,), (1, 2)),
           filling_not_immaculate,
           (RuntimeError, re.escape("gave ((2, 1, 1),), outside A[(3,),(1, 2)]"))),
+    Fault("every enumerated filling lies in its B cell", "chi", ((2, 2), (1, 1, 1, 1)),
+          filling_not_column_strict,
+          (RuntimeError, re.escape("gave ((1, 4), (2, 3)), outside B[(2, 2),(1, 1, 1, 1)]: "
+                                   "tableau must be column-strict"))),
+    Fault("every enumerated filling lies in its D cell", "rho", ((2, 2), (1, 1, 1, 1)),
+          filling_not_column_strict,
+          (RuntimeError, re.escape("gave ((1, 4), (2, 3)), outside D[(2, 2),(1, 1, 1, 1)]: "
+                                   "tableau must be column-strict"))),
     Fault("A(alpha, beta) holds every pair: the Pieri walk counts them", "phi", A_ORBIT,
           orbit_dropped, "A[(2, 1),(1, 2)] has 0 pairs, the Pieri walk counts 2", counts=(0, 0)),
     Fault("A(alpha, beta) holds each pair once: the Pieri walk counts them", "phi", A_ORBIT,

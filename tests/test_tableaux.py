@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kostka import core, tableaux
+from kostka import core, involutions as inv, tableaux
 from oracles import fill_cell_by_cell, immaculate_by_filter, ssyt_by_filter
 
 # The running example pair from the shape-(4,3,4,3,1,5) covering: an
@@ -210,29 +210,33 @@ BAD_CELL_ROWS = (
 
 
 def test_bad_cells_wide_example():
-    cells = tableaux.bad_cells(BAD_CELL_ROWS)
-    assert (4, 3) in cells
-    in_col3 = [r for (r, c) in cells if c == 3]
-    assert min(c for (_, c) in cells) == 3
-    assert max(in_col3) == 4
-    assert cells == sorted(cells, key=lambda cell: (cell[1], cell[0]))
+    # column 3 holds the leftmost bad cells, in rows 3 and 4; theta acts on the lower
+    assert inv.theta_selection(BAD_CELL_ROWS) == (4, 3)
 
 
 def test_bad_cells_empty_for_ssyt():
-    assert tableaux.bad_cells(BIG_SSYT) == []
-    assert tableaux.bad_cells(((1,), (2,), (5,))) == []
+    for rows in (BIG_SSYT, ((1,), (2,), (5,))):
+        with pytest.raises(ValueError, match="theta needs a bad cell"):
+            inv.theta_selection(rows)
+
+
+def _has_bad_cell(rows):
+    try:
+        inv.theta_selection(rows)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bad_cells_characterize_ssyt(n):
-    # no bad cells <=> partition shape and column strict
+    # no bad cell <=> partition shape and column strict
     for shape in core.compositions_of(n):
         for content in itertools.product(range(n + 1), repeat=n):
             if sum(content) != n:
                 continue
             for rows in tableaux.enumerate_immaculate(shape, content):
-                empty = not tableaux.bad_cells(rows)
-                assert empty == tableaux.is_ssyt(rows)
+                assert _has_bad_cell(rows) != tableaux.is_ssyt(rows)
 
 
 @settings(max_examples=200)
