@@ -590,11 +590,14 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     The report holds at most one violation: checking stops at the first.
     A violation at one pair records the pair whose image broke the rule;
     the three violations of the whole set (signed sum, diagonal count, pair
-    count) record none.
+    count) record none.  A ``rho`` cell whose content is no partition raises
+    ``rho``'s ValueError before any pair is listed.
     """
     kind = _family(map_name)
     apply = _MAPS[map_name][1]
     left, right = cell
+    if map_name == "rho" and not is_partition(right):
+        raise ValueError(f"rho acts on D pairs whose content is a partition, got {right}")
     report = InvolutionReport(kind=kind, map_name=map_name, degree=sum(left))
     pairs = enumerate_pairs(kind, left, right)
     position = {pair: i for i, pair in enumerate(pairs)}  # the members, and where each sits

@@ -11,6 +11,11 @@ row, and otherwise it is i - shape_i.  This map is a bijection onto the
 permutations with shape_i - i + sigma_i >= 0 everywhere, and matching a
 tableau with the hook covering carrying the same permutation is a sign- and
 weight-preserving bijection onto the coverings with nonnegative weights.
+
+The inverse, :func:`srht_from_perm`, builds one tableau per such permutation,
+each a tiling of the diagram by monotone rim paths listed by terminal row, and
+the tests find no other tiling.  So it is the one statement of what a tableau
+is: :func:`validate_srht` accepts exactly the tableaux of their permutations.
 """
 
 from __future__ import annotations
@@ -50,33 +55,16 @@ class SpecialRimHookTableau(_SRHTFields):
 
 
 def validate_srht(tableau: SpecialRimHookTableau) -> None:
-    """Raise unless the hooks are monotone rim paths tiling the diagram.
-
-    A path stepping only south or west can never close a 2x2 square, so
-    monotonicity plus the column-1 condition is the whole definition.
-    """
-    shape = tableau.shape
-    diagram = {(i, j) for i in range(1, len(shape) + 1) for j in range(1, shape[i - 1] + 1)}
-    seen: set[Cell] = set()
-    for path in tableau.hooks:
-        if not path:
-            raise ValueError("empty hook path")
-        for cell in path:
-            if cell not in diagram:
-                raise ValueError(f"cell {cell} outside the diagram")
-            if cell in seen:
-                raise ValueError(f"cell {cell} covered twice")
-            seen.add(cell)
-        for (r1, c1), (r2, c2) in zip(path, path[1:]):
-            if (r2, c2) not in ((r1 + 1, c1), (r1, c1 - 1)):
-                raise ValueError("hook path must step south or west")
-        if path[-1][1] != 1:
-            raise ValueError("every hook must reach the leftmost column")
-    if seen != diagram:
-        raise ValueError("hooks do not tile the diagram")
-    terminal_rows = [h[-1][0] for h in tableau.hooks]
-    if terminal_rows != sorted(terminal_rows):
-        raise ValueError("hooks must be listed by terminal row")
+    """Raise ValueError unless the tableau is the one its permutation builds."""
+    if not all(tableau.hooks):
+        raise ValueError("empty hook path")
+    sigma = perm_srt(tableau)
+    try:
+        rebuilt = srht_from_perm(tableau.shape, sigma)
+    except NoPreimageError as err:  # the tableau, not a caller's permutation, is at fault
+        raise ValueError(f"permutation {sigma}: {err}") from None
+    if rebuilt != tableau:
+        raise ValueError(f"permutation {sigma} builds the hooks {rebuilt.hooks}")
 
 
 def _initial_diagonals(tableau: SpecialRimHookTableau) -> dict[int, HookPath]:
@@ -218,9 +206,7 @@ def srht_to_thc(tableau: SpecialRimHookTableau) -> TunnelHookCovering:
 
 
 def thc_to_srht(covering: TunnelHookCovering) -> SpecialRimHookTableau:
-    """Inverse of :func:`srht_to_thc`; requires nonnegative weights."""
-    if not is_partition(covering.shape):
-        raise ValueError("only partition-shaped coverings correspond to tableaux")
+    """Inverse of :func:`srht_to_thc`; requires a partition shape, nonnegative weights."""
     return srht_from_perm(covering.shape, covering.perm)
 
 

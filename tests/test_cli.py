@@ -359,6 +359,21 @@ _DIAGONAL_PAIR = json.loads(sz.dumps(inv.Pair("D", thc_from_perm((1,), (1,)), ((
 # a valid D pair whose content (1, 2) is no partition: rho refuses it before walking
 _D_COMPOSITION_CONTENT = {"setKind": "D", "left": _THC, "right": {"kind": "tableau",
                                                                  "rows": [[1, 2], [2]]}}
+# one malformed tableau per rule the geometric validator once stated (an
+# empty path, a cell outside the diagram, a cell covered twice, a step
+# north or east, a hook short of column 1, an untiled cell, hooks out of
+# terminal order), and one whose permutation has no tableau
+_MALFORMED_SRHT = [
+    {**_SRHT, "hooks": [[[1, 2], [1, 1]], []]},
+    {**_SRHT, "hooks": [[[1, 3], [1, 2], [1, 1]], [[2, 1]]]},
+    {**_SRHT, "hooks": [[[1, 2], [1, 1]], [[1, 1], [2, 1]]]},
+    {**_SRHT, "hooks": [[[1, 1], [1, 2]], [[2, 1]]]},
+    {**_SRHT, "hooks": [[[1, 2]], [[1, 1], [2, 1]]]},
+    {**_SRHT, "hooks": [[[1, 2], [1, 1]]]},
+    {**_SRHT, "hooks": [[[2, 1]], [[1, 2], [1, 1]]]},
+    {"kind": "srht", "shape": [1, 1, 1], "hooks": [[[1, 1], [2, 1]], [[2, 1], [3, 1]],
+                                                  [[3, 1], [1, 1]]]},
+]
 
 
 @pytest.mark.parametrize(
@@ -422,6 +437,10 @@ _D_COMPOSITION_CONTENT = {"setKind": "D", "left": _THC, "right": {"kind": "table
         (["validate", "--input", "in.json"],
          {"kind": "trace", "maps": ["psi"], "pairs": [_DIAGONAL_PAIR] * 2}, 1),
         (["involution", "run", "--alg", "rho", "--input", "in.json"], _D_COMPOSITION_CONTENT, 2),
+        *[(argv + ["--input", "in.json"], payload, code)
+          for payload in _MALFORMED_SRHT
+          for argv, code in ((["validate"], 1), (["render"], 2),
+                             (["bijection", "--direction", "srht-to-perm"], 2))],
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):

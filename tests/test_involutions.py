@@ -352,6 +352,15 @@ def test_rho_refuses_a_content_that_is_no_partition():
     assert refused == 3 + 25 + 187 + 1267
 
 
+@pytest.mark.parametrize("left", [(2, 2), (2, 1, 1), (3, 1)])
+def test_verify_cell_refuses_a_rho_content_that_is_no_partition(left):
+    # D((2, 2), (1, 3)) and D((2, 1, 1), (1, 3)) hold no pair for rho to
+    # refuse, and the pair count has no entry for the content (1, 3)
+    with pytest.raises(ValueError, match=r"^rho acts on D pairs whose content "
+                                         r"is a partition, got \(1, 3\)$"):
+        inv.verify_cell("rho", (left, (1, 3)))
+
+
 # -- validate_pair verdicts --------------------------------------------------
 
 # one pair per check, each failing that check and passing every earlier one

@@ -189,6 +189,85 @@ def test_no_preimage_error_names_index():
     assert "row 3" in str(err.value)
 
 
+def test_validate_srht_refuses_a_permutation_with_no_tableau():
+    # the hooks read the permutation (2, 3, 1), which row 3 of (1, 1, 1)
+    # cannot carry: a malformed tableau, so a plain ValueError
+    tableau = rh.SpecialRimHookTableau(
+        (1, 1, 1), (((1, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 1), (1, 1)))
+    )
+    assert rh.perm_srt(tableau) == (2, 3, 1)
+    with pytest.raises(ValueError, match=r"^permutation \(2, 3, 1\): no tableau: row 3 ") as err:
+        rh.validate_srht(tableau)
+    assert not isinstance(err.value, core.NoPreimageError)
+
+
 def test_nonpartition_shape_rejected():
     with pytest.raises(ValueError):
         rh.srht_from_perm((1, 2), (1, 2))
+
+
+def _mutations(shape, hooks):
+    """Each single mutation of a hook list: empty, reverse or split a path,
+    drop one of its cells, add a diagram cell or an outside neighbour at
+    either end, and drop, swap or merge whole hooks."""
+    diagram = [(i, j) for i, part in enumerate(shape, 1) for j in range(1, part + 1)]
+    out = []
+    for i, path in enumerate(hooks):
+        before, after = hooks[:i], hooks[i + 1:]
+        (r, c), (s, d) = path[0], path[-1]
+        out.append(before + ((),) + after)
+        out.append(before + (path[::-1],) + after)
+        out.append(before + after)
+        out += [before + (path[:j] + path[j + 1:],) + after for j in range(len(path))]
+        out += [before + (path[:j], path[j:]) + after for j in range(1, len(path))]
+        out += [before + ((cell,) + path,) + after for cell in diagram + [(r - 1, c), (r, c + 1)]]
+        out += [before + (path + (cell,),) + after for cell in diagram + [(s + 1, d), (s, d - 1)]]
+        for j in range(i + 1, len(hooks)):
+            swapped = list(hooks)
+            swapped[i], swapped[j] = hooks[j], hooks[i]
+            out.append(tuple(swapped))
+            rest = before + hooks[i + 1:j] + hooks[j + 1:]
+            out += [(path + hooks[j],) + rest, (hooks[j] + path,) + rest]
+    return out
+
+
+_PERM_SRT_REFUSALS = (
+    "two initial cells on diagonal",
+    "empty diagonal",
+    "a hook starts on a diagonal no row selects",
+    "are not a permutation",
+)
+
+
+def _refusal(tableau):
+    """Which of validate_srht's refusals a tableau meets, found by the
+    functions that state them: an empty path, one of perm_srt's four, or a
+    permutation that rebuilds other hooks; None for a valid tableau."""
+    if not all(tableau.hooks):
+        return "empty hook path"
+    try:
+        sigma = rh.perm_srt(tableau)
+    except ValueError as err:
+        return next(key for key in _PERM_SRT_REFUSALS if key in str(err))
+    return None if rh.srht_from_perm(tableau.shape, sigma) == tableau else "rebuild"
+
+
+def test_validate_srht_accepts_exactly_the_tilings():
+    # every tableau of degree <= 6 and every single mutation of one: the
+    # validator accepts the raw search's tilings and refuses the rest with
+    # ValueError, and the corpus meets every refusal
+    reached = set()
+    for n in range(1, 7):
+        for lam in core.partitions_of(n):
+            tilings = set(naive_enumerate_srht(lam))
+            corpus = set(tilings).union(*(_mutations(lam, hooks) for hooks in tilings))
+            for hooks in corpus:
+                tableau = rh.SpecialRimHookTableau(lam, hooks)
+                try:
+                    rh.validate_srht(tableau)
+                except ValueError:
+                    assert hooks not in tilings
+                    reached.add(_refusal(tableau))
+                else:
+                    assert hooks in tilings
+    assert reached == {"empty hook path", "rebuild", *_PERM_SRT_REFUSALS}
