@@ -45,8 +45,8 @@ of the NK^-1 peel against the listed coverings certifies the coverings.
 It visits the pair set one orbit at a time: the map sends an unvisited
 pair p to q and q back to p, and that one visit checks both pairs, so
 the map runs twice per orbit rather than twice per pair.
-``validate_trace`` checks a trace read from outside: its D ends, every
-pair, the alternation of the maps, and the replay of each step.  The maps
+``validate_trace`` checks a trace read from outside: its D ends and every
+pair, then that it is ``rho``'s own walk from its first pair.  The maps
 build their image coverings with ``TunnelHookCovering._of``, which skips
 the checks of the covering's ``__new__``: an image is valid by construction,
 and membership compares it with the members, whose coverings the checking
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -164,15 +164,15 @@ def validate_pair(pair: Pair) -> tuple[IntSeq, IntSeq]:
 
 def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     """Check a ``rho`` walk read from outside; return the (left, right)
-    indices all its pairs share.  Raises ValueError, at the first check
-    that fails, when the trace is malformed, does not start and end in D, a
-    pair fails :func:`validate_pair` as labelled (E inside the walk), two
-    pairs have different indices (``psi`` and ``theta`` conserve both
-    contents), a trace takes no step off the diagonal or one on it (``rho``
-    walks from every pair off it and fixes each pair on it), the maps do
-    not alternate ``psi, theta, ...`` as ``rho``'s do, or a step does not
-    replay: pairs[k + 1], label included, must be maps[k] applied to
-    pairs[k]."""
+    indices all its pairs share.  A trace is valid exactly when it is
+    ``rho``'s walk from its first pair.  Raises ValueError, at the first
+    check that fails, when the trace is malformed, does not start and end
+    in D, a pair fails :func:`validate_pair` as labelled (E inside the
+    walk), two pairs have different indices, ``rho`` refuses the first pair,
+    or the trace parts from ``rho``'s walk at some step (one past the
+    shorter walk's end counts).  ``rho`` reads no label, hence the pair
+    checks first; the index check catches a ``psi`` or ``theta`` that
+    changes a content mid-walk and restores it, which ``rho`` would follow."""
     pairs = trace.pairs
     if not pairs or len(trace.maps) != len(pairs) - 1:
         raise ValueError("a trace holds one or more pairs and one map between each two")
@@ -181,18 +181,12 @@ def validate_trace(trace: Trace) -> tuple[IntSeq, IntSeq]:
     indices = set(map(validate_pair, pairs))
     if len(indices) != 1:
         raise ValueError("trace pairs have different indices")
-    left, right = indices.pop()
-    if not trace.maps and left != right:
-        raise ValueError("a trace with no step must hold a fixed point: its indices differ")
-    if trace.maps and left == right:
-        raise ValueError("a trace on the diagonal takes no step: rho fixes its pair")
-    for k, name in enumerate(trace.maps):
-        if name != ("psi", "theta")[k % 2]:
-            raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
-    for k, name in enumerate(trace.maps):
-        if (psi if name == "psi" else theta)(pairs[k]) != pairs[k + 1]:
-            raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
-    return left, right
+    _, walk = rho(pairs[0])
+    steps = zip_longest(zip(trace.maps, pairs[1:]), zip(walk.maps, walk.pairs[1:]))
+    for k, (step, rhos) in enumerate(steps, start=1):
+        if step != rhos:
+            raise ValueError(f"the trace parts from rho's walk at step {k}")
+    return indices.pop()
 
 
 def _misplaced(pair: Pair, cell: tuple[IntSeq, IntSeq]) -> str | None:
@@ -574,10 +568,9 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     For ``rho``, whose walks pass through E, each interior pair of the walk
     from p, an E pair as labelled, must pass :func:`validate_pair` with the
     cell's indices, and the walk back from q must be it reversed (``psi``
-    and ``theta`` are involutions).  The rest of :func:`validate_trace`
-    would prove nothing new: membership certifies the walk's ends,
-    ``rho``'s loop alternates the maps, and a replay of the pure ``psi``
-    and ``theta`` can only give the same pairs.
+    and ``theta`` are involutions).  :func:`validate_trace` would add only
+    its comparison with ``rho``'s walk, which the walk here is by
+    construction; membership certifies the walk's ends.
     An image outside the set is reported as leaving it when it fails
     :func:`validate_pair` or has other indices, else as missing from it.
 

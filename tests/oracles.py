@@ -11,7 +11,8 @@ the NSym inverse by listing every tunnel hook covering of each shape,
 a hook's boundary cells by probing the eight neighbours of each cell,
 a stage's terminal cells by listing one per end row and checking their diagonals,
 matrix products by the full triple loop, the exhaustive involution check
-by applying the map twice to every pair, and the per-pair kernels (the pair
+by applying the map twice to every pair, a trace by the walk's rules
+stated one by one, and the per-pair kernels (the pair
 and tableau checks, the map selections, the canonical JSON) by the bodies
 that read the rows and fields once per condition.
 """
@@ -370,6 +371,33 @@ def verify_cell_per_pair(map_name, cell):
     elif left == right and len(pairs) != 1:
         report.violations.append(f"diagonal set {kind}[{left},{left}] has {len(pairs)} pairs, want 1")
     return report
+
+
+def validate_trace_by_rules(trace):
+    """``involutions.validate_trace`` as it stated the walk's rules itself:
+    the end, pair and index checks, then no step off the diagonal and a step
+    on it refused, the maps alternating ``psi, theta, ...``, and each step
+    replayed.  The library's check compares the trace with ``rho``'s walk."""
+    pairs = trace.pairs
+    if not pairs or len(trace.maps) != len(pairs) - 1:
+        raise ValueError("a trace holds one or more pairs and one map between each two")
+    if pairs[0].kind != "D" or pairs[-1].kind != "D":
+        raise ValueError("a rho walk starts and ends in D")
+    indices = set(map(inv.validate_pair, pairs))
+    if len(indices) != 1:
+        raise ValueError("trace pairs have different indices")
+    left, right = indices.pop()
+    if not trace.maps and left != right:
+        raise ValueError("a trace with no step must hold a fixed point: its indices differ")
+    if trace.maps and left == right:
+        raise ValueError("a trace on the diagonal takes no step: rho fixes its pair")
+    for k, name in enumerate(trace.maps):
+        if name != ("psi", "theta")[k % 2]:
+            raise ValueError(f"step {k + 1} is {name!r}: rho alternates psi and theta")
+    for k, name in enumerate(trace.maps):
+        if (inv.psi if name == "psi" else inv.theta)(pairs[k]) != pairs[k + 1]:
+            raise ValueError(f"step {k + 1} does not replay: {name} gives another pair")
+    return left, right
 
 
 # -- the per-pair kernels as they were before the one-pass rewrite -----------

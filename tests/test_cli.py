@@ -359,6 +359,11 @@ _DIAGONAL_PAIR = json.loads(sz.dumps(inv.Pair("D", thc_from_perm((1,), (1,)), ((
 # a valid D pair whose content (1, 2) is no partition: rho refuses it before walking
 _D_COMPOSITION_CONTENT = {"setKind": "D", "left": _THC, "right": {"kind": "tableau",
                                                                  "rows": [[1, 2], [2]]}}
+# psi's one step from a D pair of content (1, 2), no partition, lands in D:
+# a walk by the maps' rules, yet not rho's, which refuses the pair
+_TRACE_FROM_A_COMPOSITION = json.loads(sz.dumps(inv.Trace(
+    (inv.Pair("D", thc_from_perm((3,), (1,)), ((1, 2, 2),)),
+     inv.Pair("D", thc_from_perm((2, 1), (2, 1)), ((1, 2), (2,)))), ("psi",))))
 # one malformed tableau per rule the geometric validator once stated (an
 # empty path, a cell outside the diagram, a cell covered twice, a step
 # north or east, a hook short of column 1, an untiled cell, hooks out of
@@ -441,6 +446,8 @@ _MALFORMED_SRHT = [
           for payload in _MALFORMED_SRHT
           for argv, code in ((["validate"], 1), (["render"], 2),
                              (["bijection", "--direction", "srht-to-perm"], 2))],
+        (["validate", "--input", "in.json"], _TRACE_FROM_A_COMPOSITION, 1),
+        (["render", "--input", "in.json"], _TRACE_FROM_A_COMPOSITION, 2),
     ],
 )
 def test_malformed_input_exit_codes(tmp_path, argv, payload, code):
@@ -627,10 +634,10 @@ def test_validate_replays_the_steps_of_a_trace(tmp_path, capsys):
     trace = json.loads((Path(__file__).parent / "data" / "walk_short_trace.json").read_text())
     repeated = {**trace, "pairs": [trace["pairs"][0]] * len(trace["pairs"])}
     renamed = {**trace, "maps": ["foo"] * len(trace["maps"])}
-    for bad, reason in ((repeated, "step 1 does not replay"), (renamed, "step 1 is 'foo'")):
+    for bad in (repeated, renamed):
         source = tmp_path / "trace.json"
         source.write_text(json.dumps(bad))
         code, out, _ = run_cli(capsys, "validate", "--input", str(source))
         assert code == 1
         verdict = json.loads(out)
-        assert verdict["valid"] is False and verdict["reason"].startswith(reason)
+        assert verdict == {"valid": False, "reason": "the trace parts from rho's walk at step 1"}

@@ -135,6 +135,19 @@ def walk_no_covering(monkeypatch):  # psi's first step goes wrong, then the walk
     return p
 
 
+def content_changes_midwalk(monkeypatch):  # psi leaves mu = (2, 2, 1) and comes back to it
+    p = inv.enumerate_pairs("D", *WALKS)[1]
+    q, trace = inv.rho(p)
+    assert trace.maps == ("psi", "theta", "psi")
+    # 3 read as 2 in the walk's two E pairs: content (2, 3), and theta still joins them
+    x, y = (pair._replace(tableau=tuple(tuple(min(v, 2) for v in row) for row in pair.tableau))
+            for pair in trace.pairs[1:3])
+    assert inv.validate_pair(x) == inv.validate_pair(y) == ((3, 2), (2, 3)) and inv.theta(x) == y
+    psi, other = inv.psi, {p: x, x: p, y: q, q: y}
+    monkeypatch.setattr(inv, "psi", lambda pair: other.get(pair) or psi(pair))
+    return p
+
+
 def image_dropped(monkeypatch):  # every image still validates
     p, q = _orbit("psi", ORBIT)
     _pairs(monkeypatch, lambda pairs: tuple(pair for pair in pairs if pair != q))
@@ -202,6 +215,8 @@ ROWS = [
           image_no_covering, "image leaves A[(2,),(1, 1)]"),
     Fault("rho's walk stays in E(lam, mu)", "rho", ((2, 2), (1, 1, 1, 1)),
           walk_no_covering, "image leaves D[(2, 2),(1, 1, 1, 1)]"),
+    Fault("rho's walk stays in E(lam, mu): psi and theta conserve both contents", "rho", WALKS,
+          content_changes_midwalk, "image leaves D[(3, 2),(2, 2, 1)]", SAME),
     Fault("psi maps C(alpha, beta) onto itself", "psi", ORBIT,
           image_dropped, "image missing from the enumerated C[(2, 1),(1, 1, 1)]",
           "signed sum over C[(2, 1),(1, 1, 1)] is 1, want 0"),
@@ -261,3 +276,13 @@ def test_the_certificate_catches_the_fault(row, monkeypatch):
             assert (oracle.violations, oracle.pair) == want
     finally:
         inv._index.cache_clear()
+
+
+def test_a_trace_whose_content_changes_midwalk_is_refused(monkeypatch):
+    # under the fault the walk is rho's own, so comparing with rho's walk
+    # passes it: only the check that every pair has one index pair refuses it
+    p = content_changes_midwalk(monkeypatch)
+    _, trace = inv.rho(p)
+    assert len({inv.validate_pair(pair) for pair in trace.pairs}) == 2
+    with pytest.raises(ValueError, match="^trace pairs have different indices$"):
+        inv.validate_trace(trace)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import multiprocessing
@@ -6,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-from oracles import pairs_by_scan, verify_cell_per_pair
+from oracles import pairs_by_scan, validate_trace_by_rules, verify_cell_per_pair
 
 from kostka import core, involutions as inv, matrices as mx, tableaux
 from kostka.tunnelhooks import delta_choices, thc_from_perm
@@ -657,13 +658,13 @@ def test_validate_trace_checks_interior_pairs_as_e_pairs():
 def test_only_validate_trace_replays_the_steps():
     # two interior pairs swapped: every pair still validates with the walk's
     # indices and the maps still alternate, so only validate_trace's last
-    # check, the replay, refuses the walk
+    # check, the comparison with rho's walk, refuses the walk
     _, trace = inv.rho(RHO_STORY)
     pairs = list(trace.pairs)
     pairs[1], pairs[3] = pairs[3], pairs[1]
     swapped = inv.Trace(tuple(pairs), trace.maps)
     assert inv.validate_trace(trace) == inv.pair_indices(RHO_STORY)
-    with pytest.raises(ValueError, match="step 1 does not replay"):
+    with pytest.raises(ValueError, match="the trace parts from rho's walk at step 1$"):
         inv.validate_trace(swapped)
 
 
@@ -685,19 +686,114 @@ def test_validate_trace_checks_the_end_pairs():
 
 def test_a_trace_with_no_step_holds_a_fixed_point():
     # rho walks from every pair off the diagonal, so a one-pair trace is its
-    # output only on a diagonal pair
+    # output only on a diagonal pair: the trace parts from the walk at its
+    # first step, which the shorter trace lacks
     off = inv.enumerate_pairs("D", (3, 2), (2, 2, 1))[0]
     assert inv.rho(off)[1].maps == ("psi",)
-    with pytest.raises(ValueError, match="a trace with no step must hold a fixed point"):
+    with pytest.raises(ValueError, match="the trace parts from rho's walk at step 1$"):
         inv.validate_trace(inv.Trace((off,), ()))
     (fixed,) = inv.enumerate_pairs("D", (3, 2), (3, 2))
     assert inv.rho(fixed)[1] == inv.Trace((fixed,), ())
     assert inv.validate_trace(inv.Trace((fixed,), ())) == ((3, 2), (3, 2))
-    # psi fixes the pair, so a step to itself would replay: the trace is
-    # refused before, as rho takes no step on the diagonal
+    # psi fixes the pair, so a step to itself would replay, but rho takes
+    # no step on the diagonal: its walk is the shorter one
     assert inv.psi(fixed) == fixed
-    with pytest.raises(ValueError, match="a trace on the diagonal takes no step"):
+    with pytest.raises(ValueError, match="the trace parts from rho's walk at step 1$"):
         inv.validate_trace(inv.Trace((fixed, fixed), ("psi",)))
+
+
+def _walk_by_hand(pair):
+    """psi and theta alternated from a D pair until one lands in D, as rho
+    walks but with no check of the content: None if a pair comes back."""
+    pairs, maps = [pair], []
+    while True:
+        for name in ("psi", "theta"):
+            current = getattr(inv, name)(pairs[-1])
+            if current in pairs:
+                return None
+            pairs.append(current)
+            maps.append(name)
+            if current.kind == "D":
+                return inv.Trace(tuple(pairs), tuple(maps))
+
+
+@functools.cache
+def _d_walks(n):
+    """(content, the pairs of the cell, walk) for every D pair of degree <= n
+    and every composition content: rho's walk on a partition content, else
+    the walk by hand, when it lands in D."""
+    out = []
+    for degree in range(1, n + 1):
+        for lam in core.partitions_of(degree):
+            for mu in core.compositions_of(degree):
+                cell = inv.enumerate_pairs("D", lam, mu)
+                for pair in cell:
+                    walk = inv.rho(pair)[1] if core.is_partition(mu) else _walk_by_hand(pair)
+                    if walk is not None:
+                        out.append((mu, cell, walk))
+    return tuple(out)
+
+
+def test_validate_trace_refuses_a_walk_from_a_content_that_is_no_partition():
+    # psi and theta walk from these pairs into D, step by step as rho would,
+    # yet rho refuses each start, so no such walk is rho's
+    walks = [walk for mu, _, walk in _d_walks(6) if not core.is_partition(mu)]
+    for walk in walks:
+        with pytest.raises(ValueError, match="rho acts on D pairs whose content is a partition"):
+            inv.validate_trace(walk)
+    assert len(walks) == 1448
+
+
+def _mutations(walk, cell):
+    """The walk, and traces one edit away from it: reversed, cut at either
+    end, its maps swapped, walked there and back, a diagonal pair given a
+    step, two interior pairs swapped, an interior pair relabelled D, and a
+    one-step jump to another pair of the cell."""
+    pairs, maps = walk
+    other = {"psi": "theta", "theta": "psi"}
+    yield walk
+    yield inv.Trace(pairs[::-1], maps[::-1])
+    if maps:
+        yield inv.Trace(pairs[1:], maps[1:])
+        yield inv.Trace(pairs[:-1], maps[:-1])
+        yield inv.Trace(pairs, tuple(other[name] for name in maps))
+        yield inv.Trace(pairs + pairs[-2::-1], maps + maps[::-1])
+    else:
+        yield inv.Trace(pairs * 2, ("psi",))
+    if len(pairs) > 2:
+        yield inv.Trace((pairs[0], pairs[2], pairs[1]) + pairs[3:], maps)
+        yield inv.Trace((pairs[0], pairs[1]._replace(kind="D")) + pairs[2:], maps)
+    for pair in cell:
+        if pair != pairs[0]:
+            yield inv.Trace((pairs[0], pair), ("psi",))
+            break
+
+
+def _verdict(validate, trace):
+    """True if ``validate`` accepts the trace, else its refusal's text."""
+    try:
+        validate(trace)
+    except ValueError as err:
+        return str(err)
+    return True
+
+
+def test_validate_trace_keeps_the_verdict_of_the_rules_on_partition_contents():
+    # every trace one edit from a walk at n <= 6: the comparison with rho's
+    # walk accepts what the walk's rules, stated one by one, accept, except
+    # a walk from a content that is no partition, which rho refuses
+    verdicts = collections.Counter()
+    for mu, cell, walk in _d_walks(6):
+        for trace in _mutations(walk, cell):
+            by_rules = _verdict(validate_trace_by_rules, trace) is True
+            verdict = _verdict(inv.validate_trace, trace)
+            if core.is_partition(mu):
+                assert (verdict is True) == by_rules, trace
+            elif by_rules:
+                assert verdict.startswith("rho acts on D pairs whose content"), trace
+            verdicts[core.is_partition(mu), by_rules, verdict is True] += 1
+    assert verdicts == {(True, True, True): 2227, (True, False, False): 5686,
+                        (False, True, False): 3089, (False, False, False): 8063}
 
 
 def test_every_pair_of_a_rho_walk_replays_on_its_own():
