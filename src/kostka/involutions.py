@@ -222,12 +222,11 @@ def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Ro
     # of its (sorted for B) weights, C/D/E the row of its (partition for D) shape
     matrix = sym_K(n) if kind in ("B", "D") else nsym_K(n)
     lines = dict(zip(matrix.labels, zip(*matrix.entries) if kind in ("A", "B") else matrix.entries))
-    zero = (0,) * len(matrix.labels)
     sizes: dict[IntSeq, tuple[int, ...]] = {}
     for key, bucket in buckets.items():
         reads = (content if kind == "A" else _weights("D", covering) if kind == "B"
                  else covering.shape for covering, content, _ in bucket)
-        sizes[key] = tuple(map(sum, zip(*(lines.get(read, zero) for read in reads))))
+        sizes[key] = tuple(map(sum, zip(*(lines[read] for read in reads))))
     position = {label: i for i, label in enumerate(matrix.labels)}
     return {key: tuple(bucket) for key, bucket in buckets.items()}, {}, (sizes, position)
 

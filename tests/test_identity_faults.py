@@ -57,6 +57,71 @@ def diagonal_skipped(monkeypatch):  # every entry is held to 0, the identity's 1
          for j, entry in enumerate(row) if entry), None))
 
 
+def _edit_entries(monkeypatch, name, degree, *edits):  # edits: (i, j, change) at degree
+    real = getattr(mx, name)
+
+    def edited(n):
+        matrix = real(n)
+        for i, j, change in edits if n == degree else ():
+            matrix = _edited(matrix, i, j, change)
+        return matrix
+
+    monkeypatch.setattr(mx, name, edited)
+
+
+def nsym_K_entry_raised(monkeypatch):  # NK[(2,1),(1,1,1)] = 2 reads 3
+    _edit_entries(monkeypatch, "nsym_K", 3, (1, 3, 1))
+
+
+def sym_Kinv_entry_raised(monkeypatch):  # K⁻¹[(2,1),(1,1,1)] = -2 reads -1
+    _edit_entries(monkeypatch, "sym_Kinv", 3, (1, 2, 1))
+
+
+def nsym_Kinv_entry_raised(monkeypatch):  # NK⁻¹[(2,1),(1,2)] = -1 reads 0
+    _edit_entries(monkeypatch, "nsym_Kinv", 3, (1, 2, 1))
+
+
+def two_sym_Kinv_entries_raised(monkeypatch):
+    # K⁻¹[(4),(1,1,1,1)] = -1 reads 0 and K⁻¹[(3,1),(2,2)] = -1 reads 0: K⁻¹·K is
+    # wrong at (0,4) and at (1,2), (1,3), (1,4), so its row-major and
+    # column-major firsts differ
+    _edit_entries(monkeypatch, "sym_Kinv", 4, (0, 4, 1), (1, 2, 1))
+
+
+def read_column_major(monkeypatch):  # with two_sym_Kinv_entries_raised, names (1,2), not (0,4)
+    two_sym_Kinv_entries_raised(monkeypatch)
+    monkeypatch.setattr(mx, "first_non_identity", lambda a: next(
+        ((a.labels[i], a.labels[j], a.entries[i][j]) for j in range(a.size)
+         for i in range(a.size) if a.entries[i][j] != (i == j)), None))
+
+
+def strip_rule_broken(monkeypatch):
+    # from state (2,2), two copies of a value may stack in one column: (3,3)
+    # grows row 2 past the old row 1, so K[(3,3),(2,2,2)] = 1 reads 2
+    real = mx._pieri
+
+    def pieri(state, c, strip):
+        shapes = real(state, c, strip)
+        return shapes + ((3, 3),) if strip and state == (2, 2) and c == 2 else shapes
+
+    monkeypatch.setattr(mx, "_pieri", pieri)
+
+
+def peel_sign_flipped(monkeypatch):
+    # column (1,1,1) peels row 1's hook at offset 1 with sign +1, not -1: only
+    # that branch's contents start with weight 1 + 1, so NK⁻¹[(2,1),(1,1,1)] = -1 reads 1
+    real = mx._peel
+
+    def peel(rows, free, memo):
+        out = real(rows, free, memo)
+        if (rows, free) != ((1, 1, 1), (0, 1, 2)):
+            return out
+        return {content: -count if content[0] == rows[0] + free[1] else count
+                for content, count in out.items()}
+
+    monkeypatch.setattr(mx, "_peel", peel)
+
+
 ROWS = [
     Fault("K K^-1 = I: the SSYT counts of K", "kkinv", 4, sym_K_entry_raised,
           {"degree": 3, "row": [2, 1], "col": [1, 1, 1], "value": 1}),
@@ -66,6 +131,26 @@ ROWS = [
           {"degree": 3, "row": [3], "col": [1, 1, 1], "value": 2}),
     Fault("NK NK^-1 = I: the diagonal of the identity is 1", "nk-nkinv", 4, diagonal_skipped,
           {"degree": 1, "row": [1], "col": [1], "value": 1}),
+    Fault("NK NK^-1 = I: the immaculate counts of NK", "nk-nkinv", 4, nsym_K_entry_raised,
+          {"degree": 3, "row": [2, 1], "col": [1, 1, 1], "value": 1}),
+    Fault("NK^-1 NK = I: the immaculate counts of NK", "nkinv-nk", 4, nsym_K_entry_raised,
+          {"degree": 3, "row": [3], "col": [1, 1, 1], "value": -1}),
+    Fault("K K^-1 = I: the signed rim hook counts of K^-1", "kkinv", 4, sym_Kinv_entry_raised,
+          {"degree": 3, "row": [3], "col": [1, 1, 1], "value": 1}),
+    Fault("K^-1 K = I: the signed rim hook counts of K^-1", "kinvk", 4, sym_Kinv_entry_raised,
+          {"degree": 3, "row": [2, 1], "col": [1, 1, 1], "value": 1}),
+    Fault("NK NK^-1 = I: the signed covering counts of NK^-1", "nk-nkinv", 4,
+          nsym_Kinv_entry_raised, {"degree": 3, "row": [3], "col": [1, 2], "value": 1}),
+    Fault("NK^-1 NK = I: the signed covering counts of NK^-1", "nkinv-nk", 4,
+          nsym_Kinv_entry_raised, {"degree": 3, "row": [2, 1], "col": [1, 2], "value": 1}),
+    Fault("K^-1 K = I: the first entry off the identity, row-major", "kinvk", 4,
+          two_sym_Kinv_entries_raised, {"degree": 4, "row": [4], "col": [1, 1, 1, 1], "value": 1}),
+    Fault("K^-1 K = I: the first entry off the identity, row-major", "kinvk", 4,
+          read_column_major, {"degree": 4, "row": [3, 1], "col": [2, 2], "value": 1}),
+    Fault("K K^-1 = I: K's Pieri walk adds horizontal strips", "kkinv", 6, strip_rule_broken,
+          {"degree": 6, "row": [3, 3], "col": [2, 2, 2], "value": 1}),
+    Fault("NK NK^-1 = I: NK^-1's peel signs (-1)^offset", "nk-nkinv", 4, peel_sign_flipped,
+          {"degree": 3, "row": [3], "col": [1, 1, 1], "value": 2}),
 ]
 
 
