@@ -121,16 +121,15 @@ def _identity_at(identity: str, m: int) -> tuple | None:
 
 
 def _verify_involutions(n: int, workers: int) -> dict | None:
-    for map_name in ("phi", "chi", "psi", "rho"):
-        report = inv.verify_involution(map_name, n, workers)
+    for report in inv.verify_involutions(("phi", "chi", "psi", "rho"), n, workers):
         if report.violations:
-            bad = {"map": map_name, "indices": [list(index) for index in report.cell],
+            bad = {"map": report.map_name, "indices": [list(index) for index in report.cell],
                    "violation": report.violations[0]}
             if report.pair is not None:
                 bad["pair"] = sz.pair_to_obj(report.pair)
             return bad
-        stats = f"map={map_name} pairs={report.pairs_checked} fixed={report.fixed_points}"
-        if map_name == "rho":
+        stats = f"map={report.map_name} pairs={report.pairs_checked} fixed={report.fixed_points}"
+        if report.map_name == "rho":
             stats += f" longest-walk={report.max_walk}"
         print(f"PASS {stats}")
     return None

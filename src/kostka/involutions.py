@@ -30,11 +30,9 @@ states that rule once, and ``_shapes`` lists each family's covering shapes.
 of the rows, ``tableaux.scan``, the one statement of column-strictness;
 ``theta_selection`` is the one code that locates a bad cell.
 ``enumerate_pairs`` reads a per-degree index, the one memo of the
-enumeration path: the coverings of every shape of the degree, found in one
-pass and filed under the index they give (the shape for A/B, the weights
-for C/D/E), and the fillings of each (shape, composition content) read so
-far, which A/B relabel to their weights.  The index holds one (family,
-degree) at a time, and a filling enters it only after ``validate_pair``.
+enumeration path, which holds one degree, every family, at a time: ``psi``
+reads the immaculate fillings ``phi`` read, ``rho`` the SSYT ``chi`` read,
+and a filling enters it only after ``validate_pair``.
 ``verify_cell`` checks a map exhaustively on one cell.  Closure is
 membership: an image must be one of the cell's enumerated pairs, and each
 interior pair of ``rho``'s walk, an E pair, must pass ``validate_pair``
@@ -53,15 +51,16 @@ and membership compares it with the members, whose coverings the checking
 constructor built.  Pairs, traces and coverings are tuples (``NamedTuple``
 records), so the membership dict and ``rho``'s seen set hash and compare
 them in C.
-``verify_involution``, serial or pooled, is the one loop over cells.
+``verify_involutions``, serial or pooled, is the one loop over cells, by degree.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache, partial
+from contextlib import nullcontext
+from functools import lru_cache
 from itertools import chain, zip_longest
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     DegreeError,
@@ -88,7 +87,7 @@ from .tableaux import (
     scan,
     shape_of,
 )
-from .matrices import nsym_K, sym_K
+from .matrices import TransitionMatrix, nsym_K, sym_K
 from .tunnelhooks import TunnelHookCovering, delta_choices
 
 
@@ -198,45 +197,67 @@ def _misplaced(pair: Pair, cell: tuple[IntSeq, IntSeq]) -> str | None:
     return None if indices == cell else f"its indices are {indices}"
 
 
-@lru_cache(maxsize=1)
-def _index(kind: str, n: int) -> tuple[dict[IntSeq, tuple], dict[tuple, tuple[Rows, ...]], tuple]:
-    """The memo of :func:`enumerate_pairs` for one (family, degree): the
-    degree-n coverings bucketed by index, a dict of tableau fillings keyed by
-    (shape, composition content) that ``enumerate_pairs`` fills, and :func:`_size`'s counts.
+class _Degree:
+    """:func:`enumerate_pairs`'s memo of degree n, for every family: the
+    coverings of each composition shape, in ``delta_choices`` order; per
+    fill rule, immaculate then SSYT, the fillings of each (shape, composition
+    content) read so far; and one family's buckets, with their :func:`_size`
+    sums once read.  A bucket holds (covering, content, relabel) entries, the
+    weights as :func:`_weights` reads them through ``relabelling``, keyed by
+    the covering shape for A/B and by the weights for C/D/E, in
+    :func:`_shapes` order, then in ``delta_choices`` order."""
 
-    Every bucket holds (covering, content, relabel) entries, the weights as
-    :func:`_weights` reads them through ``relabelling`` (the identity for
-    C/D/E, whose weights are compositions), keyed by the right index for A/B
-    (the covering shape) and by the left index for C/D/E (the weights), in
-    :func:`_shapes` order, then in ``delta_choices`` order.  One (family,
-    degree) is held at a time: the verifier asks for cells degree by degree
-    and map by map, so memory does not grow with the degrees visited."""
-    buckets: dict[IntSeq, list] = {}
-    for shape in _shapes(kind, n):
-        for perm, _ in delta_choices(shape):
-            covering = TunnelHookCovering(shape, perm)
-            weights = _weights(kind, covering)
-            key = shape if kind in ("A", "B") else weights
-            buckets.setdefault(key, []).append((covering, *relabelling(weights)))
-    # a covering reads a line of the Pieri walk's Kostka matrix: A/B the column
-    # of its (sorted for B) weights, C/D/E the row of its (partition for D) shape
-    matrix = sym_K(n) if kind in ("B", "D") else nsym_K(n)
-    lines = dict(zip(matrix.labels, zip(*matrix.entries) if kind in ("A", "B") else matrix.entries))
-    sizes: dict[IntSeq, tuple[int, ...]] = {}
-    for key, bucket in buckets.items():
-        reads = (content if kind == "A" else _weights("D", covering) if kind == "B"
-                 else covering.shape for covering, content, _ in bucket)
-        sizes[key] = tuple(map(sum, zip(*(lines[read] for read in reads))))
-    position = {label: i for i, label in enumerate(matrix.labels)}
-    return {key: tuple(bucket) for key, bucket in buckets.items()}, {}, (sizes, position)
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.coverings = {shape: tuple(TunnelHookCovering(shape, perm) for perm, _ in delta_choices(shape))
+                          for shape in _shapes("A", n)}  # every composition
+        self.fillings: tuple[dict[tuple, tuple[Rows, ...]], ...] = ({}, {})
+        self.matrices: dict[bool, TransitionMatrix] = {}  # nsym_K(n), sym_K(n) by "is Sym"
+        self.kind, self.buckets, self.sizes = "", {}, None  # the family held
+
+    def family(self, kind: str) -> dict[IntSeq, list]:
+        """The buckets of ``kind``, built unless it is the family held."""
+        if kind != self.kind:
+            buckets: dict[IntSeq, list] = {}
+            for shape in _shapes(kind, self.n):
+                for covering in self.coverings[shape]:
+                    weights = _weights(kind, covering)
+                    key = shape if kind in ("A", "B") else weights
+                    buckets.setdefault(key, []).append((covering, *relabelling(weights)))
+            self.kind, self.buckets, self.sizes = kind, buckets, None
+        return self.buckets
+
+
+@lru_cache(maxsize=1)
+def _index(n: int) -> _Degree:
+    """:class:`_Degree` n, the only one held: the verifier asks for cells
+    degree by degree, so memory does not grow with the degrees visited."""
+    return _Degree(n)
 
 
 def _size(kind: str, left: IntSeq, right: IntSeq) -> int:
     """The size of the pair set, with no filling listed: the Kostka lines
-    its bucket's coverings read, summed, at the cell's other index."""
-    _, _, (sizes, position) = _index(kind, sum(left))
+    its bucket's coverings read, summed, at the cell's other index.  The
+    family's sums are built on its first read, each matrix once a degree."""
+    memo = _index(sum(left))
+    buckets = memo.family(kind)
+    if memo.sizes is None:
+        # a covering reads a line of the Pieri walk's Kostka matrix: A/B the column
+        # of its (sorted for B) weights, C/D/E the row of its (partition for D) shape
+        sym = kind in ("B", "D")
+        if sym not in memo.matrices:
+            memo.matrices[sym] = sym_K(memo.n) if sym else nsym_K(memo.n)
+        matrix = memo.matrices[sym]
+        lines = dict(zip(matrix.labels, zip(*matrix.entries) if kind in ("A", "B") else matrix.entries))
+        sums = {}
+        for key, bucket in buckets.items():
+            reads = (content if kind == "A" else _weights("D", covering) if kind == "B"
+                     else covering.shape for covering, content, _ in bucket)
+            sums[key] = tuple(map(sum, zip(*(lines[read] for read in reads))))
+        memo.sizes = sums, {label: i for i, label in enumerate(matrix.labels)}
+    sums, position = memo.sizes
     key, other = (right, left) if kind in ("A", "B") else (left, right)
-    return sizes[key][position[other]] if key in sizes else 0
+    return sums[key][position[other]] if key in sums else 0
 
 
 def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
@@ -247,11 +268,15 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
 
     Raises ValueError on an index the family cannot have: not a composition,
     of another degree, or not a partition where the family sorts it (both
-    indices of B, the left index of D/E).  A filling enters the memo once
-    :func:`validate_pair` puts it, relabelled, in this cell with the
-    covering that asked for it.  A later reader needs no check: relabelling
-    keeps the row and column rules and makes the content the reader's
-    weights by construction.  A filling that fails raises RuntimeError."""
+    indices of B, the left index of D/E).  A filling enters the memo of its
+    fill rule (immaculate for A/C/E, SSYT for B/D) once :func:`validate_pair`
+    puts it, relabelled, in this cell with the covering that asked for it.
+    That check proves facts about the memo key alone: the filling is
+    immaculate (column-strict for SSYT) with the key's shape and content, as
+    relabelling keeps the row and column rules and the order of values.  A
+    later reader of the key, of any family (``psi`` after ``phi``, ``rho``
+    after ``chi``), needs no more and no check: relabelling makes the content
+    its weights.  A filling that fails raises RuntimeError."""
     left = tuple(left)
     right = tuple(right)
     if kind not in ("A", "B", "C", "D", "E"):
@@ -264,11 +289,11 @@ def enumerate_pairs(kind: str, left: IntSeq, right: IntSeq) -> tuple[Pair, ...]:
         raise ValueError(f"B indices must be partitions, got {left}, {right}")
     if kind in ("D", "E") and not is_partition(left):
         raise ValueError(f"the left index of {kind} must be a partition, got {left}")
-    buckets, fillings, _ = _index(kind, sum(left))
-    fill = enumerate_ssyt if kind in ("B", "D") else enumerate_immaculate
+    memo, strict = _index(sum(left)), kind in ("B", "D")
+    fill, fillings = (enumerate_ssyt if strict else enumerate_immaculate), memo.fillings[strict]
     by_shape = kind in ("A", "B")
     out: list[Pair] = []
-    for covering, content, relabel in buckets.get(right if by_shape else left, ()):
+    for covering, content, relabel in memo.family(kind).get(right if by_shape else left, ()):
         key = (left, content) if by_shape else (covering.shape, right)
         rows = fillings.get(key)
         if rows is None:
@@ -544,14 +569,19 @@ def _family(map_name: str) -> str:
 def index_cells(map_name: str, n: int) -> list[tuple[IntSeq, IntSeq]]:
     """Every (left, right) index pair of the map's family at degree <= n,
     degree by degree, each in label order.  DegreeError if n < 1."""
-    kind = _family(map_name)
+    return [cell for _, cell in _tasks((map_name,), n)]
+
+
+def _tasks(map_names: Sequence[str], n: int) -> Iterator[tuple[str, tuple[IntSeq, IntSeq]]]:
+    """(map, cell) for the named maps' index pairs at degree <= n, degree
+    by degree, each map's in label order.  DegreeError if n < 1."""
+    kinds = [_family(name) for name in map_names]
     if n < 1:
         raise DegreeError(f"degree must be >= 1, got {n}")
-    cells: list[tuple[IntSeq, IntSeq]] = []
     for degree in range(1, n + 1):
-        indices = _shapes(kind, degree)
-        cells.extend((left, right) for left in indices for right in indices)
-    return cells
+        for name, kind in zip(map_names, kinds):
+            indices = _shapes(kind, degree)
+            yield from ((name, (left, right)) for left in indices for right in indices)
 
 
 def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
@@ -605,9 +635,11 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     def walk(pair: Pair) -> tuple[Pair, Trace | None]:
         return apply(pair) if map_name == "rho" else (apply(pair), None)
 
+    covering = None
     for i, pair in enumerate(pairs):
         report.pairs_checked += 1
-        sign = pair.thc.sign()
+        if pair.thc is not covering:  # listed together; an image's sign is read afresh
+            sign = (covering := pair.thc).sign()
         signed += sign
         if done[i]:
             continue
@@ -645,36 +677,54 @@ def verify_cell(map_name: str, cell: tuple[IntSeq, IntSeq]) -> InvolutionReport:
     return report
 
 
-def verify_involution(map_name: str, n: int, workers: int = 1) -> InvolutionReport:
-    """:func:`verify_cell` over every index pair at degree <= n, in
-    :func:`index_cells` order, up to the first cell with a violation, which
-    the report names as ``cell`` beside the counts of the cells checked.
+def verify_involutions(map_names: Sequence[str], n: int, workers: int = 1) -> list[InvolutionReport]:
+    """:func:`verify_cell` over the named maps' index pairs at degree <= n,
+    degree by degree, each map's in :func:`index_cells` order, so each
+    degree's index (:func:`_index`) serves every map.  A map's report adds up
+    its cells to its first violation, named as ``cell``.  The reports come
+    in ``map_names`` order up to the first map that failed, once it and
+    every map before it are done: those of checking the maps one after
+    another.  A cell that raises, of a map still checked, raises at once.
     With ``workers`` > 1 a pool of ``min(workers, cells, CPUs)`` processes
-    checks the cells in chunks, read back in order, so the report is the
-    serial one; the pool ends at the first violation.  ValueError if
-    ``workers`` < 1, DegreeError (from :func:`index_cells`) if n < 1."""
+    checks the cells in chunks, read back in order.  ValueError if
+    ``workers`` < 1 or a map is unknown, DegreeError if n < 1."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cells = index_cells(map_name, n)
-    check = partial(verify_cell, map_name)
-    size = min(workers, len(cells), os.cpu_count() or 1)
-    if size < 2:
-        return _add_up(map_name, n, cells, map(check, cells))
-    from multiprocessing import Pool  # here only: importing it costs ~10 ms
+    total = sum(1 for _ in _tasks(map_names, n))  # the names and n checked at once
+    reports = {name: InvolutionReport(kind=_family(name), map_name=name, degree=n) for name in map_names}
+    running = list(map_names)  # every map before the first to fail: their cells are checked
+    size = min(workers, total, os.cpu_count() or 1)
+    if size > 1:
+        from multiprocessing import Pool  # here only: importing it costs ~10 ms
+    with (Pool(size) if size > 1 else nullcontext()) as pool:
+        parts = (pool.imap(_check, _tasks(map_names, n), -(-total // (4 * size))) if pool
+                 else (_check(task) if task[0] in running else None for task in _tasks(map_names, n)))
+        for (name, cell), part in zip(_tasks(map_names, n), parts):
+            if name not in running:
+                continue
+            if isinstance(part, Exception):
+                raise part
+            report = reports[name]
+            report.pairs_checked += part.pairs_checked
+            report.fixed_points += part.fixed_points
+            report.max_walk = max(report.max_walk, part.max_walk)
+            if part.violations:
+                report.violations, report.pair, report.cell = part.violations, part.pair, cell
+                del running[running.index(name):]  # the map and every later one
+                if not running:
+                    break
+    return [reports[name] for name in map_names[: len(running) + 1]]
 
-    with Pool(size) as pool:
-        return _add_up(map_name, n, cells, pool.imap(check, cells, -(-len(cells) // (4 * size))))
+
+def verify_involution(map_name: str, n: int, workers: int = 1) -> InvolutionReport:
+    """:func:`verify_involutions` for one map: its report."""
+    return verify_involutions((map_name,), n, workers)[0]
 
 
-def _add_up(map_name: str, n: int, cells: list, parts) -> InvolutionReport:
-    """The counts of ``parts``, the reports of ``cells`` in order, added up to
-    the first with a violation, whose violations, pair and cell it takes."""
-    report = InvolutionReport(kind=_family(map_name), map_name=map_name, degree=n)
-    for cell, part in zip(cells, parts):
-        report.pairs_checked += part.pairs_checked
-        report.fixed_points += part.fixed_points
-        report.max_walk = max(report.max_walk, part.max_walk)
-        if part.violations:
-            report.violations, report.pair, report.cell = part.violations, part.pair, cell
-            break
-    return report
+def _check(task: tuple[str, tuple[IntSeq, IntSeq]]) -> InvolutionReport | Exception:
+    """:func:`verify_cell` on a (map, cell) task, or the exception it raised,
+    which the suite raises only for a map it still checks."""
+    try:
+        return verify_cell(*task)
+    except Exception as err:
+        return err

@@ -120,8 +120,9 @@ def relabelling(content: Sequence[int]) -> tuple[tuple[int, ...], Callable]:
     values = [k for k, c in enumerate(content, 1) if c]
     if len(values) == len(content):
         return tuple(content), lambda fillings: fillings
+    at = (0, *values).__getitem__  # k -> the k-th nonzero position
     return tuple(content[k - 1] for k in values), lambda fillings: tuple(
-        tuple(tuple(values[v - 1] for v in row) for row in rows) for rows in fillings)
+        tuple(tuple(map(at, row)) for row in rows) for rows in fillings)
 
 
 def _fill(shape: Sequence[int], content: Sequence[int], strict: bool) -> tuple[Rows, ...]:

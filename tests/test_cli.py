@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -574,11 +575,11 @@ def test_verify_reports_broken_map(tmp_path, capsys, monkeypatch):
     assert json.loads(out) != record["pair"]  # the real phi moves the pair the broken one fixed
 
 
-@pytest.mark.parametrize("cpus, sizes", [(3, [3] * 4), (None, []), (8, [5] * 4)])
+@pytest.mark.parametrize("cpus, sizes", [(3, [3]), (None, []), (8, [4])])
 def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
     """A pool gets no more processes than tasks or CPUs; none is started here.
     The pool is the library verifier's, which imports ``Pool`` as it starts
-    one."""
+    one, one for the whole suite."""
     import multiprocessing
 
     requested = []
@@ -594,38 +595,86 @@ def test_workers_bounded_by_tasks_and_cpus(capsys, monkeypatch, cpus, sizes):
             return False
 
         def imap(self, fn, tasks, chunksize):
-            assert chunksize == 1  # 5 cells over 4 * size >= 12 slots
+            assert chunksize == 1  # 4 cells over 4 * size >= 12 slots
             return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(inv.os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--identity", "involutions",
+    code, out, _ = run_cli(capsys, "verify", "--n", "1", "--identity", "involutions",
                            "--workers", "10000")
-    assert code == 0 and out.endswith("PASS involutions n<=2\n")
-    assert requested == sizes  # each of the four maps has 1 + 4 cells at n <= 2
+    assert code == 0 and out.endswith("PASS involutions n<=1\n")
+    assert requested == sizes  # the four maps have one cell each at n <= 1
 
 
 def test_a_failing_suite_stops_at_its_first_violating_cell(capsys, monkeypatch):
     # phi as the identity fixes every pair: the third A cell, ((2,), (1, 1)),
-    # is the first off the diagonal; the command checks no cell past it
+    # is the first off the diagonal; the command checks no phi cell past it
+    # and no cell above its degree
     monkeypatch.setitem(inv._MAPS, "phi", ("A", lambda pair: pair))
     cells = []
     verify_cell = inv.verify_cell
 
     def counted(map_name, cell):
-        cells.append(cell)
+        cells.append((map_name, cell))
         return verify_cell(map_name, cell)
 
     monkeypatch.setattr(inv, "verify_cell", counted)
     code, out, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "6",
                            "--workers", "1")
     assert code == 1
-    through_cli = list(cells)
+    through_cli = [cell for map_name, cell in cells if map_name == "phi"]
+    assert max(sum(left) for _, (left, _) in cells) == 2
     cells.clear()
     report = inv.verify_involution("phi", 6)
-    assert through_cli == cells and len(cells) == 3
+    assert through_cli == [cell for _, cell in cells] and len(cells) == 3
     assert json.loads(out)["indices"] == [list(index) for index in report.cell]
-    assert report.cell == cells[-1] == ((2,), (1, 1))
+    assert report.cell == cells[-1][1] == ((2,), (1, 1))
+
+
+def test_the_suite_fills_each_cell_once(capsys, monkeypatch):
+    # phi and psi fill the same immaculate cells, chi and rho the same SSYT
+    # cells (rho's among chi's): the suite fills each (rule, shape, content)
+    # once, so psi and rho fill nothing
+    calls = {"enumerate_immaculate": 0, "enumerate_ssyt": 0}
+    for name in calls:
+        fill = getattr(inv, name)
+
+        def counted(*key, name=name, fill=fill):
+            calls[name] += 1
+            return fill(*key)
+
+        monkeypatch.setattr(inv, name, counted)
+    inv._index.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "5",
+                         "--workers", "1")
+    assert code == 0
+    assert calls == {"enumerate_immaculate": 341, "enumerate_ssyt": 169}
+
+
+# map fixing every pair -> (exit code, PASS lines, first 16 hex digits of the
+# sha256 of stdout), as the map-by-map suite printed them at n <= 6
+FIXES_ALL = {
+    "phi": (1, 0, "16aadcb9d50e5348"),
+    "chi": (1, 1, "d7d952e49d24d02c"),
+    "psi": (1, 2, "f0438c1ec1775699"),
+    "rho": (1, 3, "d6199ed0187b727d"),
+}
+
+
+# a pool only for rho, whose suite pools every earlier map's cells to the end
+@pytest.mark.parametrize("map_name, workers", [*((name, "1") for name in FIXES_ALL), ("rho", "2")])
+def test_a_failing_suite_prints_what_the_map_by_map_suite_did(capsys, monkeypatch, map_name,
+                                                              workers):
+    # each map fails at degree 2, after every earlier map passed all of n <= 6
+    kind, _ = inv._MAPS[map_name]
+    fixes = (lambda pair: (pair, inv.Trace((pair,), ()))) if map_name == "rho" else (lambda pair: pair)
+    monkeypatch.setitem(inv._MAPS, map_name, (kind, fixes))
+    inv._index.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--identity", "involutions", "--n", "6",
+                           "--workers", workers)
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert (code, out.count("PASS map="), digest) == FIXES_ALL[map_name]
+    assert json.loads(out.splitlines()[-1])["map"] == map_name
 
 
 def test_validate_replays_the_steps_of_a_trace(tmp_path, capsys):

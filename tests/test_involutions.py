@@ -481,27 +481,34 @@ def test_pair_sets_match_the_per_cell_scan(kind):
             assert inv.enumerate_pairs(kind, left, right) == pairs_by_scan(kind, left, right)
 
 
+def _fillings(kind, degree):
+    """The fillings memo the family's rule fills at ``degree``: SSYT for B/D."""
+    return inv._index(degree).fillings[kind in ("B", "D")]
+
+
 def test_covering_index_holds_one_degree():
     inv.verify_involution("psi", 5)
     inv.verify_involution("rho", 5)
     assert inv._index.cache_info().currsize <= 1
-    # the fillings memo is scoped with the coverings: after a degree-5 run
+    # the fillings memos are scoped with the coverings: after a degree-5 run
     # and a degree-4 one, every memo key has total 4
     inv.verify_involution("phi", 5)
     inv.verify_involution("psi", 4)
     assert inv._index.cache_info().currsize == 1
-    _, fillings, _ = inv._index("C", 4)
+    fillings = _fillings("C", 4)
     assert fillings
     assert {(sum(shape), sum(content)) for shape, content in fillings} == {(4, 4)}
     # one rule for every family: a memo key's content is a composition, so
-    # A reads exactly the cells C reads
+    # A reads exactly the cells C reads, and D only cells B reads
     for degree in range(1, 6):
         keys = {}
-        for map_name in ("phi", "chi", "psi"):
+        for map_name in ("phi", "chi", "psi", "rho"):
+            inv._index.cache_clear()
             inv.verify_involution(map_name, degree)
-            keys[map_name] = set(inv._index(inv._family(map_name), degree)[1])
+            keys[map_name] = set(_fillings(inv._family(map_name), degree))
             assert all(core.is_composition(content) for _, content in keys[map_name])
         assert keys["phi"] == keys["psi"]
+        assert keys["rho"] <= keys["chi"]
 
 
 @pytest.mark.parametrize(
@@ -623,7 +630,7 @@ def test_validate_pair_runs_once_per_filling_and_on_no_image(monkeypatch, map_na
         for cell in cells:
             inv.enumerate_pairs(kind, *cell)
         # once per filling, as it enters the memo
-        assert len(calls) == sum(len(rows) for rows in inv._index(kind, degree)[1].values())
+        assert len(calls) == sum(len(rows) for rows in _fillings(kind, degree).values())
         validated += len(calls)
         calls.clear()
         for cell in cells:
@@ -837,6 +844,26 @@ def test_a_failing_pool_stops_at_the_serial_cell_and_ends(monkeypatch):
         serial.cell,
         serial.pairs_checked,
     )
+    assert not multiprocessing.active_children()
+
+
+REPORT_FIELDS = ("kind", "map_name", "degree", "pairs_checked", "fixed_points", "max_walk",
+                 "violations", "pair", "cell")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_suite_gives_each_map_its_own_report(workers):
+    # degree-major, sharing each degree's memo, every map still reports what
+    # checking it alone does
+    for n in range(1, 7) if workers == 1 else (6,):
+        inv._index.cache_clear()
+        suite = list(inv.verify_involutions(("phi", "chi", "psi", "rho"), n, workers))
+        assert [report.map_name for report in suite] == ["phi", "chi", "psi", "rho"]
+        for report in suite:
+            inv._index.cache_clear()
+            alone = inv.verify_involution(report.map_name, n)
+            assert [getattr(report, f) for f in REPORT_FIELDS] == [
+                getattr(alone, f) for f in REPORT_FIELDS]
     assert not multiprocessing.active_children()
 
 

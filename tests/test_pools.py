@@ -1,5 +1,5 @@
 """Process pools in the package start in one place: the verifier's loop
-over cells (``involutions.verify_involution``).  It imports
+over cells (``involutions.verify_involutions``).  It imports
 ``multiprocessing`` inside the function, as it starts a pool, so importing
 a module never pays for it.  A pool or a module-level import anywhere else
 fails here."""
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import kostka
 
-ALLOWED = {("involutions", "verify_involution")}
+ALLOWED = {("involutions", "verify_involutions")}
 PROCESS_MODULES = {"multiprocessing", "concurrent"}
 POOL_NAMES = {"Pool", "ProcessPoolExecutor"}
 
